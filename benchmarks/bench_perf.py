@@ -1,4 +1,4 @@
-"""Round-pipeline throughput: seed vs incremental vs delta vs parallel.
+"""Round-pipeline throughput: seed vs fast vs parallel.
 
 Unlike the paper benchmarks (pytest modules under this directory), this is
 a standalone script — run it directly:
@@ -8,19 +8,16 @@ a standalone script — run it directly:
     PYTHONPATH=src python benchmarks/bench_perf.py --quick --profile
 
 It measures stage A of a CAD round (window -> correlation -> TSG ->
-communities) across four modes over a grid of sensor counts:
+communities) across three modes over a grid of sensor counts:
 
 ``seed``
     ``engine="reference"`` — the original pipeline: full Pearson matrix
     every round, dict graph, dict Louvain.
-``incremental``
-    ``engine="fast"``, one process — rolling-correlation kernel, CSR
-    TSG, array-backed Louvain.
-``delta``
-    ``engine="delta"`` — everything in ``incremental`` plus
-    round-over-round TSG maintenance: cached top-k candidate sets with a
-    separation certificate, patched CSR assembly, anchored full re-ranks
-    (DESIGN.md §10).
+``fast``
+    ``engine="fast"``, one process — rolling-correlation kernel,
+    round-over-round TSG maintenance (cached top-k candidate sets with a
+    separation certificate, patched CSR assembly, anchored full re-ranks;
+    DESIGN.md §10), array-backed Louvain.
 ``parallel``
     ``engine="fast"`` fanned over the persistent 2-worker shared-memory
     pool (:func:`repro.core.parallel.iter_round_communities`).  Segments
@@ -56,15 +53,15 @@ from repro.graph import (
     louvain,
     prune_weak_edges,
 )
-from repro.graph.csr import louvain_labels_csr, tsg_csr
+from repro.graph.csr import louvain_labels_csr
 from repro.timeseries.correlation import pearson_matrix
 from repro.timeseries.rolling import RollingCorrelation
 
-MODES = ("seed", "incremental", "delta", "parallel")
+MODES = ("seed", "fast", "parallel")
 
 #: Engines whose stages --profile breaks down (parallel shares the fast
 #: engine's stages, so profiling it separately would double-count).
-PROFILE_MODES = ("seed", "incremental", "delta")
+PROFILE_MODES = ("seed", "fast")
 
 STAGES = ("corr_update", "tsg_build", "louvain", "coappearance")
 
@@ -152,10 +149,8 @@ def profile_mode(
         t1 = time.perf_counter()
         if mode == "seed":
             tsg_dict = prune_weak_edges(knn_graph(corr, k), config.tau)
-        elif mode == "delta":
-            tsg = builder.build(corr, full=anchor)
         else:
-            tsg = tsg_csr(corr, k, config.tau).absolute()
+            tsg = builder.build(corr, full=anchor)
         t2 = time.perf_counter()
         if mode == "seed":
             labels_arr = np.array(louvain(absolute_weight_graph(tsg_dict)).labels)
@@ -172,18 +167,12 @@ def profile_mode(
 
 
 def mode_config(mode: str, args: argparse.Namespace) -> CADConfig:
-    if mode == "seed":
-        engine = "reference"
-    elif mode == "delta":
-        engine = "delta"
-    else:
-        engine = "fast"
     return CADConfig(
         window=args.window,
         step=args.step,
         k=args.k,
         tau=args.tau,
-        engine=engine,
+        engine="reference" if mode == "seed" else "fast",
         corr_refresh=args.refresh,
     )
 
@@ -244,20 +233,15 @@ def main() -> int:
             per_mode_labels[mode] == per_mode_labels["seed"] for mode in MODES
         )
         identical = identical and match
-        speedup = per_mode_ms["seed"] / per_mode_ms["incremental"]
-        delta_speedup = per_mode_ms["seed"] / per_mode_ms["delta"]
-        print(
-            f"n={n_sensors:4d}  incremental {speedup:.2f}x  "
-            f"delta {delta_speedup:.2f}x  identical={match}"
-        )
+        speedup = per_mode_ms["seed"] / per_mode_ms["fast"]
+        print(f"n={n_sensors:4d}  fast {speedup:.2f}x  identical={match}")
         row = {
             "n_sensors": n_sensors,
             "ms_per_round": {m: round(per_mode_ms[m], 3) for m in MODES},
             "rounds_per_sec": {
                 m: round(1000.0 / per_mode_ms[m], 2) for m in MODES
             },
-            "incremental_speedup": round(speedup, 2),
-            "delta_speedup": round(delta_speedup, 2),
+            "fast_speedup": round(speedup, 2),
             "outputs_identical": match,
         }
         if args.profile:

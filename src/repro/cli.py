@@ -49,6 +49,17 @@ from .datasets import dataset_names, load_dataset, save_dataset
 from .evaluation import ahead_miss, best_f1, best_predictions
 
 
+def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--engine",
+        choices=("fast", "reference"),
+        default="fast",
+        help="per-round pipeline: fast (incremental correlation and TSG "
+        "maintenance, array-backed Louvain) or reference (readable "
+        "dict-based path); outputs are identical",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -95,21 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for offline detection (-1 = all CPUs); "
         "results are identical for any job count",
     )
-    detect.add_argument(
-        "--engine",
-        choices=("fast", "delta", "reference"),
-        default="fast",
-        help="per-round pipeline: fast (incremental correlation), delta "
-        "(fast plus round-over-round TSG maintenance), or reference "
-        "(readable dict-based path); outputs are identical",
-    )
-    detect.add_argument(
-        "--louvain-verify",
-        type=int,
-        default=0,
-        help="delta engine: warm-start Louvain and verify against a cold "
-        "run every V rounds; 0 (default) runs cold every round",
-    )
+    _add_engine_flag(detect)
 
     run = commands.add_parser(
         "run", help="stream a dataset through StreamingCAD, optionally supervised"
@@ -191,14 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="absorb redelivered (sensor, seq) envelopes idempotently",
     )
-    run.add_argument(
-        "--engine",
-        choices=("fast", "delta", "reference"),
-        default="fast",
-        help="per-round pipeline: fast (incremental correlation), delta "
-        "(fast plus round-over-round TSG maintenance), or reference "
-        "(readable dict-based path); outputs are identical",
-    )
+    _add_engine_flag(run)
 
     fleet = commands.add_parser(
         "fleet", help="multi-tenant fleet runtime (repro.fleet)"
@@ -249,12 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=50,
         help="rounds between per-tenant checkpoint generations; 0 disables",
     )
-    fleet_run.add_argument(
-        "--engine",
-        choices=("fast", "delta", "reference"),
-        default="fast",
-        help="per-round pipeline engine shared by all tenants",
-    )
+    _add_engine_flag(fleet_run)
     fleet_run.add_argument(
         "--health-out",
         default=None,
@@ -314,7 +299,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         allow_missing=allow_missing,
         n_jobs=args.jobs,
         engine=args.engine,
-        louvain_verify=args.louvain_verify,
     )
     test = data.test
     if args.fault_rate > 0.0:

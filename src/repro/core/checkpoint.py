@@ -51,8 +51,11 @@ class CheckpointError(ValueError):
 
 #: Bump when the checkpoint layout changes; loaders reject unknown versions.
 #: Version 2 added the fast engine's rolling-correlation kernel state;
-#: version 3 added the delta engine's TSG candidate cache and warm-start
-#: Louvain bookkeeping.
+#: version 3 added the TSG candidate cache.  Version-3 files written
+#: before warm-start Louvain was removed also carry its bookkeeping
+#: (``has_warm_labels``/``warm_trusted``/``verify_counter`` meta keys, a
+#: ``delta_warm_labels`` array, a ``louvain_verify`` config key); loading
+#: ignores all of it.
 CHECKPOINT_VERSION = 3
 
 #: Versions :func:`load_checkpoint` can read.  Version-1 files (written
@@ -60,9 +63,10 @@ CHECKPOINT_VERSION = 3
 #: state and no ``engine``/``corr_refresh``/``n_jobs`` config keys, and are
 #: pinned to ``engine="reference"`` — the only engine that existed when they
 #: were written — so a resumed stream replays the exact pipeline that
-#: produced the checkpoint.  Version-2 files predate the delta engine; they
-#: carry no delta state, which is legal (the builder re-ranks from scratch
-#: on its first resumed round — exact, just not a resumed cache).
+#: produced the checkpoint.  Version-2 files predate the TSG candidate
+#: cache; they carry no delta state, which is legal (the builder re-ranks
+#: from scratch on its first resumed round — exact, just not a resumed
+#: cache).  A config saved with ``engine="delta"`` loads as ``"fast"``.
 SUPPORTED_VERSIONS = (1, 2, CHECKPOINT_VERSION)
 
 _FORMAT = "repro-streaming-cad"
@@ -120,9 +124,6 @@ def save_checkpoint(stream: StreamingCAD, path: str | Path) -> None:
             "k": builder["k"],
             "tau": builder["tau"],
             "has_members": builder["members"] is not None,
-            "has_warm_labels": delta["warm_labels"] is not None,
-            "warm_trusted": bool(delta["warm_trusted"]),
-            "verify_counter": int(delta["verify_counter"]),
         }
     if kernel is not None:
         # Scalars ride in JSON; the float arrays go into the npz below so
@@ -164,15 +165,8 @@ def save_checkpoint(stream: StreamingCAD, path: str | Path) -> None:
     if kernel is not None:
         for name in meta["kernel"]["arrays"]:
             arrays[f"kernel_{name}"] = np.asarray(kernel[name], dtype=np.float64)
-    if delta is not None:
-        if delta["builder"]["members"] is not None:
-            arrays["delta_members"] = np.asarray(
-                delta["builder"]["members"], dtype=bool
-            )
-        if delta["warm_labels"] is not None:
-            arrays["delta_warm_labels"] = np.asarray(
-                delta["warm_labels"], dtype=np.int64
-            )
+    if delta is not None and delta["builder"]["members"] is not None:
+        arrays["delta_members"] = np.asarray(delta["builder"]["members"], dtype=bool)
 
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -253,9 +247,8 @@ def _read_checkpoint(path: str | Path) -> StreamingCAD:
             config.setdefault("engine", "reference")
             config.setdefault("corr_refresh", 1)
             config.setdefault("n_jobs", 1)
-        if version < 3:
-            # v3 added the delta engine's verification knob.
-            config.setdefault("louvain_verify", 0)
+        # Early v3 files carry the removed warm-start Louvain knob.
+        config.pop("louvain_verify", None)
 
         mean, m2 = (float(v) for v in archive["moment_values"])
         history_len = int(meta["tracker_history_len"])
@@ -297,13 +290,6 @@ def _read_checkpoint(path: str | Path) -> StreamingCAD:
                         else None
                     ),
                 },
-                "warm_labels": (
-                    archive["delta_warm_labels"]
-                    if delta_meta["has_warm_labels"]
-                    else None
-                ),
-                "warm_trusted": delta_meta["warm_trusted"],
-                "verify_counter": delta_meta["verify_counter"],
             }
         state = {
             "detector": {

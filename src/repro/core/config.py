@@ -41,25 +41,17 @@ Collects every knob from the paper in one validated place:
   fraction of ``window``) below which a sensor pair's correlation is
   treated as unknown (edge weight 0).
 * ``engine`` — per-round implementation: ``"fast"`` (default; incremental
-  rolling correlation plus array-backed TSG/Louvain, see DESIGN.md),
-  ``"delta"`` (everything in ``"fast"`` plus round-over-round TSG
-  maintenance with cached top-k candidate sets and optional warm-started
-  Louvain, see DESIGN.md §10), or ``"reference"`` (the readable dict-based
-  path, bit-identical to the original pipeline).
-* ``corr_refresh`` — fast/delta engines: recompute the correlation matrix
+  rolling correlation, round-over-round TSG maintenance with cached top-k
+  candidate sets and array-backed Louvain, see DESIGN.md §6/§10) or
+  ``"reference"`` (the readable dict-based path, bit-identical to the
+  original pipeline).  ``"delta"`` is accepted as an alias of ``"fast"``
+  and normalised to it, so configs, checkpoints and health output carry
+  one name.
+* ``corr_refresh`` — fast engine: recompute the correlation matrix
   exactly every this many rounds to bound floating-point drift of the
-  incremental updates.  Also the anchor cadence for the delta engine's
-  full TSG re-ranks and the chunk alignment unit for parallel offline
-  detection.  1 disables the incremental path.
-* ``louvain_verify`` — delta engine only.  0 (default) runs Louvain cold
-  every round — output is bitwise the fast engine's.  V >= 1 warm-starts
-  Louvain from the previous round's labels and *verifies* against a cold
-  run every V rounds (and at every anchor): on any mismatch the cold
-  result is emitted and warm starts are distrusted until the next anchor.
-  Between verifications warm output is emitted unverified, so V >= 1
-  trades the label-identity guarantee for speed — measured on the bench
-  streams, unverified warm labels diverge from cold on roughly half the
-  rounds, which is why verification is mandatory and 0 is the default.
+  incremental updates.  Also the anchor cadence for the full TSG
+  re-ranks and the chunk alignment unit for parallel offline detection.
+  1 disables the incremental path.
 * ``n_jobs`` — worker processes for *offline* ``warm_up``/``detect`` calls
   (the streaming path is always single-threaded).  1 runs in-process, -1
   uses every CPU.  Results are bit-identical for any job count.
@@ -95,7 +87,6 @@ class CADConfig:
     min_overlap_fraction: float = 0.25
     engine: str = "fast"
     corr_refresh: int = 64
-    louvain_verify: int = 0
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -147,12 +138,11 @@ class CADConfig:
             raise ValueError(
                 f"engine must be 'fast', 'delta' or 'reference', got {self.engine!r}"
             )
+        if self.engine == "delta":
+            # Frozen dataclass: normalise the alias in place.
+            object.__setattr__(self, "engine", "fast")
         if self.corr_refresh < 1:
             raise ValueError(f"corr_refresh must be >= 1, got {self.corr_refresh}")
-        if self.louvain_verify < 0:
-            raise ValueError(
-                f"louvain_verify must be >= 0, got {self.louvain_verify}"
-            )
         if self.n_jobs != -1 and self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1 or -1 (all CPUs), got {self.n_jobs}")
 

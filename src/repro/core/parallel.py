@@ -7,12 +7,11 @@ is **bit-identical** to a sequential run for any job count:
 
 * The reference engine has no cross-round state at all — every chunk split
   is trivially safe.
-* The fast and delta engines' cross-round state (the rolling-correlation
-  kernel, the delta builder's candidate sets, the warm-start bookkeeping)
-  re-anchors itself whenever ``absolute_round % corr_refresh == 0``: the
-  kernel refreshes exactly, the delta builder re-ranks every row from
-  scratch, and warm-started Louvain falls back to a cold run.  At an
-  anchor the post-round state is a function of the current window and the
+* The fast engine's cross-round state (the rolling-correlation kernel and
+  the TSG builder's candidate sets) re-anchors itself whenever
+  ``absolute_round % corr_refresh == 0``: the kernel refreshes exactly and
+  the builder re-ranks every row from scratch.  At an anchor the
+  post-round state is a function of the current window and the
   round counter alone, so a worker that starts a *fresh* pipeline at an
   anchor round reproduces the sequential pipeline's state exactly.  Chunks
   are therefore cut only at anchor rounds; the first (possibly unaligned)
@@ -62,7 +61,7 @@ import math
 import os
 import queue
 import multiprocessing as mp
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -158,7 +157,7 @@ def _chunk_bounds(
     start_round: int, n_rounds: int, refresh: int | None, jobs: int
 ) -> list[tuple[int, int]]:
     """Half-open local chunk bounds; every cut after the first sits on an
-    anchor round when ``refresh`` is given (fast/delta engines)."""
+    anchor round when ``refresh`` is given (fast engine)."""
     target = max(1, math.ceil(n_rounds / (jobs * _CHUNKS_PER_JOB)))
     if refresh is None:
         stride = target
@@ -201,7 +200,7 @@ def _stage_tenant_rounds(
     :class:`StaleWorkerCacheError` when neither a cache entry nor state
     exists (stateless reference-engine pipelines are simply rebuilt).
     Windows are *copied* out of the shared slot: unlike chunk tasks, the
-    cached pipeline outlives this task and the fast/delta kernels keep the
+    cached pipeline outlives this task and the fast engine's kernel keeps the
     previous window by reference, which must not alias a slot the parent
     will rewrite.
     """
@@ -258,20 +257,11 @@ def _pool_worker(tasks: Any, results: Any) -> None:
                 try:
                     shm = attachments.get(slot_name)
                     if shm is None:
+                        # Attaching registers the name with the parent's
+                        # resource tracker (see WorkerPool._start_worker),
+                        # which already holds it: a no-op.  Unregistering
+                        # here would erase the parent's own registration.
                         shm = shared_memory.SharedMemory(name=slot_name)
-                        # Attaching registers with this process's resource
-                        # tracker (CPython registers unconditionally on
-                        # POSIX); unregister so only the creating parent
-                        # unlinks — a second unlink at interpreter exit
-                        # would race the parent's and spew warnings.
-                        try:
-                            from multiprocessing import resource_tracker
-
-                            resource_tracker.unregister(
-                                shm._name, "shared_memory"  # noqa: SLF001
-                            )
-                        except Exception:  # pragma: no cover - best effort
-                            pass
                         attachments[slot_name] = shm
                     block = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
                     windows = [block[i] for i in range(shape[0])]
@@ -386,14 +376,23 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # lifecycle
 
-    def _spawn_worker(self, tasks: Any | None = None) -> _WorkerHandle:
-        if tasks is None:
-            tasks = self._ctx.Queue()
+    def _start_worker(self, tasks: Any) -> Any:
+        # Every start method hands children the parent's resource tracker
+        # if it is running — fork inherits it, spawn/forkserver pass its
+        # fd — so workers' slot attachments register where the parent's
+        # slots already are.  Only a fork before the tracker first starts
+        # would leave a worker to launch a private tracker, which unlinks
+        # every segment the worker attached when the worker exits.
+        resource_tracker.ensure_running()
         process = self._ctx.Process(
             target=_pool_worker, args=(tasks, self._results), daemon=True
         )
         process.start()
-        return _WorkerHandle(process, tasks)
+        return process
+
+    def _spawn_worker(self) -> _WorkerHandle:
+        tasks = self._ctx.Queue()
+        return _WorkerHandle(self._start_worker(tasks), tasks)
 
     def _revive_dead_workers(self) -> None:
         for index, worker in enumerate(self._workers):
@@ -410,12 +409,7 @@ class WorkerPool:
             self.generation += 1
             old_tasks = worker.tasks
             worker.tasks = self._ctx.Queue()
-            worker.process = self._ctx.Process(
-                target=_pool_worker,
-                args=(worker.tasks, self._results),
-                daemon=True,
-            )
-            worker.process.start()
+            worker.process = self._start_worker(worker.tasks)
             old_tasks.close()
             old_tasks.cancel_join_thread()
             for entry in self._pending.values():

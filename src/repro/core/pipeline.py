@@ -17,16 +17,11 @@ The per-round work of Algorithm 1 splits cleanly in two:
 
 ``fast``
     :class:`~repro.timeseries.RollingCorrelation` incremental correlation,
-    vectorised TSG edge selection and array-backed Louvain / label
-    propagation (:mod:`repro.graph.csr`).
-``delta``
-    Everything in ``fast``, plus round-over-round TSG maintenance
-    (:class:`~repro.graph.DeltaTSGBuilder` keeps the previous round's
-    top-k candidate sets and re-ranks only rows the new correlation matrix
-    invalidates, bitwise-identical to the full build) and optional
-    warm-started Louvain behind ``CADConfig.louvain_verify`` (DESIGN.md
-    §10).  With ``louvain_verify=0`` (default) output is bitwise the fast
-    engine's.
+    round-over-round TSG maintenance (:class:`~repro.graph.DeltaTSGBuilder`
+    keeps the previous round's top-k candidate sets and re-ranks only rows
+    the new correlation matrix invalidates, bitwise-identical to the full
+    build) and array-backed Louvain / label propagation
+    (:mod:`repro.graph.csr`).  ``engine="delta"`` is an alias.
 ``reference``
     The original readable path — exact Pearson matrix, dict
     :class:`~repro.graph.Graph`, dict Louvain — bit-identical to the seed
@@ -49,10 +44,9 @@ from ..graph import (
     prune_weak_edges,
 )
 from ..graph.csr import (
-    CSRGraph,
     label_propagation_labels_csr,
     louvain_labels_csr,
-    tsg_csr,
+    tsg_csr,  # noqa: F401 - perfbench/tracing.py wraps ``pipeline.tsg_csr``
 )
 from ..timeseries.correlation import pearson_matrix, pearson_matrix_masked
 from ..timeseries.rolling import RollingCorrelation
@@ -123,13 +117,7 @@ class CommunityPipeline:
         self._k = config.effective_k(n_sensors)
         self._kernel: RollingCorrelation | None = None
         self._builder: DeltaTSGBuilder | None = None
-        # Warm-start verification state (delta engine, louvain_verify >= 1):
-        # the previous round's labels, whether warm results are currently
-        # trusted, and rounds since the last cold verification.
-        self._warm_labels: np.ndarray | None = None
-        self._warm_trusted = False
-        self._verify_counter = 0
-        if config.engine in ("fast", "delta"):
+        if config.engine == "fast":
             self._kernel = RollingCorrelation(
                 n_sensors,
                 config.window,
@@ -137,7 +125,6 @@ class CommunityPipeline:
                 refresh_every=config.corr_refresh,
                 min_overlap=config.min_overlap(),
             )
-        if config.engine == "delta":
             self._builder = DeltaTSGBuilder(n_sensors, self._k, config.tau)
 
     @property
@@ -163,13 +150,10 @@ class CommunityPipeline:
                 "set CADConfig(allow_missing=True) to run on degraded data"
             )
 
-        if self._builder is not None:
+        if self._kernel is not None:
             # Finiteness is already settled here (strict mode raised above;
             # degraded mode reported it in quality), so the kernel can skip
             # its own O(n*w) sweep.
-            finite = quality is None or not quality.degraded
-            labels, n_communities = self._delta_stage(window_values, finite)
-        elif self._kernel is not None:
             finite = quality is None or not quality.degraded
             labels, n_communities = self._fast_stage(window_values, finite)
         else:
@@ -184,18 +168,6 @@ class CommunityPipeline:
     def _fast_stage(
         self, window_values: np.ndarray, finite: bool
     ) -> tuple[tuple[int, ...], int]:
-        assert self._kernel is not None
-        corr = self._kernel.update(window_values, assume_finite=finite)
-        tsg = tsg_csr(corr, self._k, self.config.tau).absolute()
-        if self.config.community_method == "louvain":
-            labels = louvain_labels_csr(tsg)
-        else:
-            labels = label_propagation_labels_csr(tsg)
-        return tuple(labels.tolist()), int(labels.max()) + 1
-
-    def _delta_stage(
-        self, window_values: np.ndarray, finite: bool
-    ) -> tuple[tuple[int, ...], int]:
         assert self._kernel is not None and self._builder is not None
         # Anchor status must be read before update() advances the counter.
         anchor = self._kernel.next_update_is_anchor
@@ -204,48 +176,11 @@ class CommunityPipeline:
         # state-free); degraded rounds skip the certificate pass outright —
         # NaN rows would fail it row by row anyway.
         tsg = self._builder.build(corr, full=anchor or not finite)
-        if self.config.community_method != "louvain":
-            labels = label_propagation_labels_csr(tsg)
-            return tuple(labels.tolist()), int(labels.max()) + 1
-        labels = self._delta_louvain(tsg, anchor)
-        return tuple(labels.tolist()), int(labels.max()) + 1
-
-    def _delta_louvain(self, tsg: CSRGraph, anchor: bool) -> np.ndarray:
-        """Louvain with the delta engine's warm-start verification protocol.
-
-        ``louvain_verify == 0``: cold every round — bitwise the fast path.
-        ``V >= 1``: warm-start from the previous round's labels; every V
-        rounds (and at every anchor) run the cold path too and emit *its*
-        result, distrusting warm starts until the next anchor whenever the
-        two differ.  Anchors fully reset the verification state, so a
-        parallel chunk starting at an anchor reproduces the sequential
-        stream bit for bit at any V.
-        """
-        verify = self.config.louvain_verify
-        if verify == 0:
-            return louvain_labels_csr(tsg)
-        if anchor or self._warm_labels is None:
+        if self.config.community_method == "louvain":
             labels = louvain_labels_csr(tsg)
-            self._warm_labels = labels
-            self._warm_trusted = True
-            self._verify_counter = 0
-            return labels
-        if not self._warm_trusted:
-            # Distrusted until the next anchor: cold runs, no warm seeding.
-            return louvain_labels_csr(tsg)
-        self._verify_counter += 1
-        if self._verify_counter >= verify:
-            # Verification round: the cold result is what gets emitted, so
-            # a divergent warm start can never leak into the output.
-            cold = louvain_labels_csr(tsg)
-            warm = louvain_labels_csr(tsg, init_labels=self._warm_labels)
-            self._warm_trusted = bool(np.array_equal(cold, warm))
-            self._warm_labels = cold
-            self._verify_counter = 0
-            return cold
-        labels = louvain_labels_csr(tsg, init_labels=self._warm_labels)
-        self._warm_labels = labels
-        return labels
+        else:
+            labels = label_propagation_labels_csr(tsg)
+        return tuple(labels.tolist()), int(labels.max()) + 1
 
     def _reference_stage(self, window_values: np.ndarray) -> tuple[tuple[int, ...], int]:
         # The seed pipeline verbatim: full Pearson matrix, per-edge dict
@@ -266,44 +201,33 @@ class CommunityPipeline:
         return partition.labels, partition.n_communities
 
     def reset(self) -> None:
-        """Forget kernel/delta state; the next round behaves like round 0."""
+        """Forget kernel/TSG state; the next round behaves like round 0."""
         if self._kernel is not None:
             self._kernel.reset()
         if self._builder is not None:
             self._builder.reset()
-        self._warm_labels = None
-        self._warm_trusted = False
-        self._verify_counter = 0
 
     # ------------------------------------------------------------------
     # checkpoint support
 
     def to_state(self) -> dict[str, Any]:
-        """Kernel + delta state — config/n_sensors ride with the detector."""
+        """Kernel + TSG state — config/n_sensors ride with the detector."""
         state: dict[str, Any] = {
             "kernel": None if self._kernel is None else self._kernel.to_state(),
         }
         if self._builder is not None:
-            state["delta"] = {
-                "builder": self._builder.to_state(),
-                "warm_labels": (
-                    None if self._warm_labels is None else self._warm_labels.copy()
-                ),
-                "warm_trusted": self._warm_trusted,
-                "verify_counter": self._verify_counter,
-            }
+            state["delta"] = {"builder": self._builder.to_state()}
         return state
 
     def restore_state(self, state: dict[str, Any] | None) -> None:
         """Adopt a :meth:`to_state` snapshot (None leaves a fresh pipeline).
 
-        A missing/None kernel entry on a fast/delta-engine pipeline is
-        legal — the kernel simply refreshes exactly on its next round — but
-        it breaks the bit-identical-resume promise, so checkpoints always
-        carry the kernel when an incremental engine is active.  The same
-        holds for the delta entry: without it the builder re-ranks from
-        scratch on its first round (exact, just not a resumed cache) and
-        warm starts re-arm at the next anchor.
+        A missing/None kernel entry on a fast-engine pipeline is legal —
+        the kernel simply refreshes exactly on its next round — but it
+        breaks the bit-identical-resume promise, so checkpoints always
+        carry the kernel when the fast engine is active.  The same holds
+        for the delta entry: without it the builder re-ranks from scratch
+        on its first round (exact, just not a resumed cache).
         """
         if not state:
             return
@@ -313,9 +237,3 @@ class CommunityPipeline:
         delta_state = state.get("delta")
         if delta_state is not None and self._builder is not None:
             self._builder = DeltaTSGBuilder.from_state(delta_state["builder"])
-            warm = delta_state.get("warm_labels")
-            self._warm_labels = (
-                None if warm is None else np.asarray(warm, dtype=np.int64).copy()
-            )
-            self._warm_trusted = bool(delta_state.get("warm_trusted", False))
-            self._verify_counter = int(delta_state.get("verify_counter", 0))

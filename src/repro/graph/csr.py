@@ -305,7 +305,6 @@ def _one_level_csr(
     level: _CSRLevel,
     resolution: float,
     min_gain: float,
-    init_labels: np.ndarray | None = None,
 ) -> tuple[np.ndarray, bool]:
     """One local-moving pass; mirrors ``louvain._one_level`` decision flow.
 
@@ -327,26 +326,13 @@ def _one_level_csr(
     non-mover evaluations skippable and removes float noise.  Relative to
     the dict path this shifts intermediates by at most the same ~1 ulp the
     module docstring already budgets for.
-
-    ``init_labels`` warm-starts the pass from an existing partition instead
-    of singletons (Louvain warm start; see :func:`louvain_labels_csr`).
     """
     n = level.n
     two_m = level.two_m
     if two_m <= 0:
-        if init_labels is not None:
-            return np.asarray(init_labels, dtype=np.int64).copy(), False
         return np.arange(n, dtype=np.int64), False
-    if init_labels is None:
-        labels = list(range(n))
-        community_degree = level.degree.tolist()
-    else:
-        labels = [int(label) for label in init_labels]
-        community_degree = np.bincount(
-            np.asarray(init_labels, dtype=np.int64),
-            weights=level.degree,
-            minlength=n,
-        ).tolist()
+    labels = list(range(n))
+    community_degree = level.degree.tolist()
     degree = level.degree.tolist()
 
     # Per-vertex (neighbour, weight) pair lists, built once per level —
@@ -407,12 +393,11 @@ def _one_level_csr(
     # over, and the scan takes the wheel: it either proves convergence
     # outright (replacing the would-be confirmation sweep), hands a
     # handful of movers to the jump pass, or sends the sweep back out.
-    # Warm inits skip straight to the scan — they rarely move at all.
     # Scanning earlier or later never affects the result, only the cost:
     # sweeps and jumps take bitwise-identical decisions.
     use_scans = n >= _SCAN_MIN_VERTICES
     dense_cutoff = n // 3
-    next_action = "sweep" if init_labels is None else "scan"
+    next_action = "sweep"
     while True:
         if not use_scans or next_action == "sweep":
             # The sweep is `evaluate` inlined: per-vertex function calls
@@ -561,7 +546,6 @@ def louvain_labels_csr(
     graph: CSRGraph,
     resolution: float = 1.0,
     min_gain: float = 1e-9,
-    init_labels: np.ndarray | None = None,
 ) -> np.ndarray:
     """Louvain community labels on a CSR graph (no modularity computation).
 
@@ -569,14 +553,6 @@ def louvain_labels_csr(
     equivalent dict graph (see the module docstring for the float-ordering
     caveat).  The per-round fast pipeline uses this entry point because
     :class:`~repro.core.result.RoundRecord` never stores modularity.
-
-    ``init_labels`` warm-starts level 0 from an existing partition (e.g.
-    the previous round's labels) instead of singletons.  Warm starts can
-    land on a *different* local optimum than a cold run — callers that need
-    cold-identical output must verify (see ``CADConfig.louvain_verify``).
-    A warm level 0 that makes no moves still aggregates once: the seed
-    partition itself may be coarsenable even when no single vertex move
-    improves it.
     """
     if (graph.weights < 0).any():
         bad = int(np.argmax(graph.weights < 0))
@@ -588,23 +564,11 @@ def louvain_labels_csr(
     level = _CSRLevel(
         graph.indptr, graph.indices, graph.weights, np.zeros(n, dtype=np.float64)
     )
-    init: np.ndarray | None = None
-    if init_labels is not None:
-        init = np.asarray(init_labels, dtype=np.int64)
-        if init.shape != (n,):
-            raise ValueError(
-                f"init_labels must have shape ({n},), got {init.shape}"
-            )
-        if init.size and (init.min() < 0 or init.max() >= n):
-            raise ValueError("init_labels entries must be existing vertex ids")
-
     while True:
-        warm = init is not None
-        labels, improved = _one_level_csr(level, resolution, min_gain, init)
-        init = None  # the warm partition only seeds level 0
+        labels, improved = _one_level_csr(level, resolution, min_gain)
         compact = _compact_labels_array(labels)
         membership = compact[membership]
-        if not improved and not warm:
+        if not improved:
             break
         level = _aggregate_csr(level, compact)
         if level.n <= 1:

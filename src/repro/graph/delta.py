@@ -2,11 +2,12 @@
 
 Consecutive CAD rounds share ``window - step`` of their samples, so the
 correlation matrix — and with it the k-NN Time-Series Graph — barely moves
-round over round.  The seed and fast pipelines still pay a full
-``argpartition`` over every row plus a fresh CSR assembly each round.  This
-module keeps the previous round's per-row top-k candidate sets and re-derives
-only what the new correlation matrix actually invalidates, while staying
-**bitwise identical** to :func:`repro.graph.csr.tsg_edge_arrays` on every
+round over round.  A from-scratch build (:func:`repro.graph.csr.tsg_csr`)
+pays a full ``argpartition`` over every row plus a fresh CSR assembly each
+round.  This module — the fast engine's TSG stage — keeps the previous
+round's per-row top-k candidate sets and re-derives only what the new
+correlation matrix actually invalidates, while staying **bitwise
+identical** to :func:`repro.graph.csr.tsg_edge_arrays` on every
 round (not just anchors).
 
 The exactness argument, row by row:
@@ -39,8 +40,8 @@ Periodic anchored full rebuilds (driven by the caller, aligned with the
 correlation kernel's ``corr_refresh`` anchors) re-rank every row from
 scratch.  They are not needed for exactness — the certificate already
 guarantees it — but they bound how long any cached row can go unranked and
-keep the delta engine's parallel chunking story identical to the fast
-engine's: a chunk starting at an anchor needs no carried TSG state.
+keep parallel chunking exact: a chunk starting at an anchor needs no
+carried TSG state.
 """
 
 from __future__ import annotations

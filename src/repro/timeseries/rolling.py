@@ -110,7 +110,7 @@ class RollingCorrelation:
         The delta TSG builder aligns its full re-ranks to this schedule.
         Note it is a statement about the refresh *cadence* only — a dirty
         or non-overlapping window can force an exact refresh on any round —
-        but cadence is all the delta engine needs: anchors guarantee a
+        but cadence is all the TSG builder needs: anchors guarantee a
         from-scratch re-rank at least every ``refresh_every`` rounds, and
         the separation certificate keeps off-anchor rounds exact on its
         own.  (No per-row "changed correlation" bound is exported from the

@@ -222,6 +222,52 @@ class TestV1Migration:
         assert restored.detector.config == toy_config
 
 
+def add_warm_start_keys(path):
+    """Rewrite a v3 checkpoint the way warm-start-era builds wrote it.
+
+    Those builds named the engine ``"delta"``, carried a ``louvain_verify``
+    config key, three warm-start meta keys next to the TSG candidate cache
+    and a ``delta_warm_labels`` array.
+    """
+    import json
+
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(arrays["meta"]))
+    assert meta["version"] == 3 and meta["has_delta"]
+    meta["config"]["engine"] = "delta"
+    meta["config"]["louvain_verify"] = 3
+    meta["delta"].update(has_warm_labels=True, warm_trusted=True, verify_counter=2)
+    arrays["delta_warm_labels"] = np.arange(meta["n_sensors"], dtype=np.int64) % 3
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+class TestV3WarmStartKeys:
+    """v3 files from builds with warm-start Louvain still load and resume."""
+
+    def test_loads_as_fast_and_matches_reference(
+        self, toy_config, toy_values, tmp_path
+    ):
+        from dataclasses import replace
+
+        cut = 400
+        stream = StreamingCAD(toy_config, 12)
+        stream.push_many(toy_values[:, :cut])
+        path = tmp_path / "v3-warm.npz"
+        stream.save(path)
+        add_warm_start_keys(path)
+
+        resumed = StreamingCAD.load(path)
+        assert resumed.detector.config == toy_config
+        assert resumed.detector.config.engine == "fast"
+        reference = StreamingCAD(replace(toy_config, engine="reference"), 12)
+        reference.push_many(toy_values[:, :cut])
+        expected = reference.push_many(toy_values[:, cut:900])
+        assert len(expected) > 10
+        assert resumed.push_many(toy_values[:, cut:900]) == expected
+
+
 class TestComponentState:
     def test_running_moments_state(self):
         moments = RunningMoments()

@@ -44,6 +44,15 @@ class TestValidation:
         ):
             CADConfig(window=10, step=2, engine="turbo")
 
+    def test_delta_is_an_alias_of_fast(self):
+        config = CADConfig(window=10, step=2, engine="delta")
+        assert config.engine == "fast"
+        assert config == CADConfig(window=10, step=2, engine="fast")
+
+    def test_louvain_verify_is_an_unknown_keyword(self):
+        with pytest.raises(TypeError, match="louvain_verify"):
+            CADConfig(window=10, step=2, louvain_verify=0)
+
     def test_bad_n_jobs_message_explains_minus_one(self):
         with pytest.raises(ValueError, match="n_jobs must be >= 1 or -1"):
             CADConfig(window=10, step=2, n_jobs=0)

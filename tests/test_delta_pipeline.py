@@ -1,16 +1,15 @@
-"""Tests for the delta round engine: incremental TSG + warm-started Louvain.
+"""Tests for the fast engine's incremental TSG maintenance.
 
 Three contracts, in increasing order of integration:
 
 1. :class:`DeltaTSGBuilder` must emit CSR arrays bit-identical to the
    from-scratch ``tsg_csr`` build every round — patched or full, clean or
    NaN-masked corr.
-2. ``engine="delta"`` with the default ``louvain_verify=0`` must emit
-   ``RoundRecord`` sequences bit-identical to ``engine="reference"`` (and
-   ``"fast"``), including across faulted streams with NaN masking.
-3. Delta state (candidate lists, warm-start labels, verify counter, pool
-   generation) must round-trip through checkpoints so a kill/resume never
-   diverges from the uninterrupted run.
+2. ``engine="fast"`` (which maintains the TSG through the builder) must
+   emit ``RoundRecord`` sequences bit-identical to ``engine="reference"``,
+   including across faulted streams with NaN masking.
+3. Delta state (candidate lists, pool generation) must round-trip through
+   checkpoints so a kill/resume never diverges from the uninterrupted run.
 """
 
 import json
@@ -24,7 +23,7 @@ from tests.conftest import correlated_values
 from repro.core import CADConfig, StreamingCAD, load_checkpoint, save_checkpoint
 from repro.datasets import FaultModel
 from repro.graph import DeltaTSGBuilder
-from repro.graph.csr import louvain_labels_csr, tsg_csr
+from repro.graph.csr import tsg_csr
 from repro.runtime import StreamSupervisor, SupervisorConfig, VirtualClock
 from repro.timeseries import (
     MultivariateTimeSeries,
@@ -37,7 +36,7 @@ N_SENSORS = 8
 
 def delta_config(**overrides) -> CADConfig:
     defaults = dict(
-        window=48, step=8, k=4, tau=0.4, engine="delta",
+        window=48, step=8, k=4, tau=0.4, engine="fast",
         corr_refresh=16, allow_missing=True,
     )
     defaults.update(overrides)
@@ -139,17 +138,16 @@ class TestDeltaBuilder:
 
 
 class TestDeltaEngineBitIdentity:
-    """engine="delta" must never change the answer (louvain_verify=0)."""
+    """The fast engine's TSG maintenance must never change the answer."""
 
     def test_clean_stream_matches_reference_and_fast(self, feed):
         history, live = feed
         records = {
             engine: run_stream(delta_config(engine=engine), history, live)
-            for engine in ("reference", "fast", "delta")
+            for engine in ("reference", "fast")
         }
-        assert len(records["delta"]) > 20
-        assert records["delta"] == records["reference"]
-        assert records["delta"] == records["fast"]
+        assert len(records["fast"]) > 20
+        assert records["fast"] == records["reference"]
 
     def test_faulted_stream_matches_reference(self, feed):
         history, live = feed
@@ -188,62 +186,34 @@ class TestDeltaEngineBitIdentity:
         )
 
 
-class TestWarmStartVerification:
-    """louvain_verify >= 1: warm starts, cold-emitted verification rounds."""
-
-    def test_verify_every_round_equals_fast(self, feed):
-        # V=1 verifies every round, and verification rounds emit the cold
-        # result — so the whole stream must be bitwise the fast engine.
-        history, live = feed
-        assert run_stream(
-            delta_config(louvain_verify=1), history, live
-        ) == run_stream(delta_config(engine="fast"), history, live)
-
-    @pytest.mark.parametrize("verify", [2, 5])
-    def test_warm_runs_are_deterministic(self, feed, verify):
-        history, live = feed
-        config = delta_config(louvain_verify=verify)
-        assert run_stream(config, history, live) == run_stream(
-            config, history, live
-        )
-
-    def test_init_labels_validation(self):
-        corr = np.corrcoef(correlated_values(n_sensors=6, length=80, seed=3))
-        graph = tsg_csr(corr, 2, 0.1).absolute()
-        with pytest.raises(ValueError, match="shape"):
-            louvain_labels_csr(graph, init_labels=np.zeros(5, dtype=np.int64))
-        with pytest.raises(ValueError, match="existing vertex"):
-            louvain_labels_csr(graph, init_labels=np.full(6, 9, dtype=np.int64))
-
-    def test_warm_start_matches_cold_from_own_partition(self):
-        # Seeding Louvain with the partition it would reach anyway must
-        # reproduce that partition exactly.
-        corr = np.corrcoef(correlated_values(n_sensors=12, length=200, seed=8))
-        graph = tsg_csr(corr, 3, 0.2).absolute()
-        cold = louvain_labels_csr(graph)
-        assert np.array_equal(louvain_labels_csr(graph, init_labels=cold), cold)
-
-
 class TestDeltaCheckpointResume:
     """Delta state must survive kill/resume through supervisor checkpoints."""
 
     def test_checkpoint_round_trips_delta_and_warm_state(self, feed, tmp_path):
         history, live = feed
-        config = delta_config(louvain_verify=3)
+        config = delta_config()
         stream = StreamingCAD(config, N_SENSORS)
         stream.warm_up(history)
         stream.push_many(live[:, :300])
         path = tmp_path / "delta.npz"
         save_checkpoint(stream, path)
         resumed = load_checkpoint(path)
-        # Both copies see identical remaining samples; any lost candidate
-        # cache, warm label, or verify counter would desynchronise the
-        # warm/cold cadence and show up as a differing record.
-        assert resumed.push_many(live[:, 300:]) == stream.push_many(live[:, 300:])
+        # Both copies see identical remaining samples and must agree with
+        # the reference engine; the resumed copy must also carry the
+        # candidate cache itself, not re-rank from scratch.
+        assert resumed.detector.pipeline.to_state()["delta"]["builder"][
+            "members"
+        ] is not None
+        expected = StreamingCAD(delta_config(engine="reference"), N_SENSORS)
+        expected.warm_up(history)
+        expected.push_many(live[:, :300])
+        records = stream.push_many(live[:, 300:])
+        assert resumed.push_many(live[:, 300:]) == records
+        assert records == expected.push_many(live[:, 300:])
 
     def test_kill_resume_is_bit_identical(self, feed, tmp_path):
         history, live = feed
-        config = delta_config(louvain_verify=2)
+        config = delta_config()
         baseline = run_stream(config, history, live)
 
         sup_config = SupervisorConfig(checkpoint_every=5, keep_checkpoints=3)

@@ -8,6 +8,12 @@ covers every field, floats included), the assembled anomalies, and the
 post-run detector state across job counts.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +29,8 @@ from repro.core.parallel import (
 )
 from repro.core.pipeline import CommunityPipeline
 from repro.timeseries import MultivariateTimeSeries
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_series(seed=0, n_sensors=9, length=1400, missing_rate=0.0):
@@ -200,15 +208,17 @@ class TestWorkerPool:
 
     def test_delta_engine_parallel_identical(self):
         series = make_series(seed=21)
-        config = make_config(engine="delta")
+        config = make_config(engine="fast")
+        reference = CAD(make_config(engine="reference"), series.n_sensors)
         sequential = CAD(config, series.n_sensors)
         parallel = CAD(config, series.n_sensors)
         result_seq = sequential.detect(series)
         result_par = parallel.detect(series, n_jobs=3)
         assert result_par.rounds == result_seq.rounds
+        assert result_par.rounds == reference.detect(series).rounds
         assert result_par.anomalies == result_seq.anomalies
-        # Candidate cache and warm-start state must land where a
-        # sequential run would leave them.
+        # The TSG candidate cache must land where a sequential run would
+        # leave it.
         assert_state_equal(parallel.to_state(), sequential.to_state())
 
     def test_worker_death_respawns_and_stays_identical(self):
@@ -241,6 +251,43 @@ class TestWorkerPool:
             parallel.detect(series, n_jobs=2).rounds
             == sequential.detect(series).rounds
         )
+
+    def test_pool_lifetimes_keep_resource_tracker_consistent(self):
+        # A fresh interpreter, so the first pool forks before the resource
+        # tracker exists and the second one after it is running: workers
+        # must never erase the parent's slot registrations (the tracker
+        # then prints KeyError tracebacks on every unlink) or leak slots.
+        script = textwrap.dedent(
+            """
+            import os
+            import numpy as np
+            from repro.core import CAD, CADConfig
+            from repro.core.parallel import shutdown_worker_pool
+            from repro.timeseries import MultivariateTimeSeries
+
+            values = np.random.default_rng(0).standard_normal((8, 1200)).cumsum(axis=1)
+            config = CADConfig(window=48, step=8, k=3, corr_refresh=8, n_jobs=2)
+            for _ in range(2):
+                cad = CAD(config, 8)
+                cad.warm_up(MultivariateTimeSeries(values[:, :400]))
+                cad.detect(MultivariateTimeSeries(values[:, 400:]))
+                shutdown_worker_pool()
+            print(os.getpid())
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "KeyError" not in result.stderr
+        pid = result.stdout.split()[-1]
+        shm = Path("/dev/shm")
+        if shm.is_dir():
+            assert not list(shm.glob(f"repro-{pid}-*"))
 
     def test_generation_floor_is_monotonic(self):
         base = pool_generation()
