@@ -19,11 +19,12 @@ communities) across three modes over a grid of sensor counts:
     separation certificate, patched CSR assembly, anchored full re-ranks;
     DESIGN.md §10), array-backed Louvain.
 ``parallel``
-    ``engine="fast"`` fanned over the persistent 2-worker shared-memory
-    pool (:func:`repro.core.parallel.iter_round_communities`).  Segments
-    too short to cut at an anchor run in-process — dispatching one chunk
-    to a pool is pure overhead, which is what used to make this mode
-    *slower* than seed at small ``n``.
+    ``engine="fast"`` fanned over the persistent 2-worker pool
+    (:func:`repro.core.parallel.iter_round_communities`): refresh-aligned
+    chunks, each shipped as one sample span.  Segments too short to cut at
+    an anchor run in-process, so every row records how many chunks the
+    pool actually ran (``parallel_chunks``); ``--quick`` uses a refresh of
+    8 so its 24 rounds cut into 3 chunks and the row checks pool output.
 
 Timing is min-of-repeats (the box this grew up on jitters +/-10%), and
 every mode's community labels are cross-checked for equality — the fast
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -90,28 +92,34 @@ def synthetic_values(n_sensors: int, t_total: int, seed: int = 7) -> np.ndarray:
 
 def run_mode(
     mode: str, values: np.ndarray, config: CADConfig, rounds: int, repeats: int
-) -> tuple[float, list[tuple[int, ...]]]:
-    """Best per-round wall time (ms) over ``repeats`` runs, plus the labels."""
+) -> tuple[float, list[tuple[int, ...]], int]:
+    """Best per-round wall time (ms) over ``repeats`` runs, the labels, and
+    the chunks one run dispatched to the pool (0 for in-process modes)."""
     n_sensors = values.shape[0]
     step, window = config.step, config.window
-    windows = [values[:, r * step : r * step + window] for r in range(rounds)]
-    if mode == "parallel":
-        # Pool spin-up is a one-off process cost, not a per-round cost;
-        # warm it outside the timed region like any persistent service.
-        get_worker_pool(2)
+    segment = values[:, : (rounds - 1) * step + window]
+    # Pool spin-up is a one-off process cost, not a per-round cost; warm it
+    # outside the timed region like any persistent service.
+    pool = get_worker_pool(2) if mode == "parallel" else None
     best_ms = float("inf")
     labels: list[tuple[int, ...]] = []
+    chunks = 0
     for _ in range(repeats):
         pipeline = CommunityPipeline(config, n_sensors)
+        submitted = 0 if pool is None else pool.tasks_submitted
         start = time.perf_counter()
-        if mode == "parallel":
-            stages = list(iter_round_communities(pipeline, windows, n_jobs=2))
+        if pool is not None:
+            stages = list(iter_round_communities(pipeline, segment, n_jobs=2))
         else:
-            stages = [pipeline.process(w) for w in windows]
+            stages = [
+                pipeline.process(segment[:, r * step : r * step + window])
+                for r in range(rounds)
+            ]
         elapsed_ms = (time.perf_counter() - start) * 1000.0 / rounds
         best_ms = min(best_ms, elapsed_ms)
         labels = [stage.labels for stage in stages]
-    return best_ms, labels
+        chunks = 0 if pool is None else pool.tasks_submitted - submitted
+    return best_ms, labels, chunks
 
 
 def profile_mode(
@@ -197,7 +205,9 @@ def main() -> int:
     parser.add_argument("--step", type=int, default=8)
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--tau", type=float, default=0.5)
-    parser.add_argument("--refresh", type=int, default=64)
+    parser.add_argument(
+        "--refresh", type=int, default=None, help="corr_refresh (quick 8, full 64)"
+    )
     parser.add_argument("--rounds", type=int, default=None)
     parser.add_argument("--repeats", type=int, default=None)
     args = parser.parse_args()
@@ -207,11 +217,13 @@ def main() -> int:
         args.window = args.window or 600
         args.rounds = args.rounds or 24
         args.repeats = args.repeats or 3
+        args.refresh = args.refresh or 8
     else:
         grid = [48, 96, 256, 512]
         args.window = args.window or 3000
         args.rounds = args.rounds or 120
         args.repeats = args.repeats or 2
+        args.refresh = args.refresh or 64
 
     results: list[dict] = []
     identical = True
@@ -220,11 +232,16 @@ def main() -> int:
         values = synthetic_values(n_sensors, t_total)
         per_mode_ms: dict[str, float] = {}
         per_mode_labels: dict[str, list[tuple[int, ...]]] = {}
+        parallel_chunks = 0
         for mode in MODES:
             config = mode_config(mode, args)
-            ms, labels = run_mode(mode, values, config, args.rounds, args.repeats)
+            ms, labels, chunks = run_mode(
+                mode, values, config, args.rounds, args.repeats
+            )
             per_mode_ms[mode] = ms
             per_mode_labels[mode] = labels
+            if mode == "parallel":
+                parallel_chunks = chunks
             print(
                 f"n={n_sensors:4d}  {mode:<11s}  {ms:8.2f} ms/round  "
                 f"{1000.0 / ms:8.1f} rounds/s"
@@ -234,7 +251,10 @@ def main() -> int:
         )
         identical = identical and match
         speedup = per_mode_ms["seed"] / per_mode_ms["fast"]
-        print(f"n={n_sensors:4d}  fast {speedup:.2f}x  identical={match}")
+        print(
+            f"n={n_sensors:4d}  fast {speedup:.2f}x  identical={match}  "
+            f"parallel chunks={parallel_chunks}"
+        )
         row = {
             "n_sensors": n_sensors,
             "ms_per_round": {m: round(per_mode_ms[m], 3) for m in MODES},
@@ -242,6 +262,7 @@ def main() -> int:
                 m: round(1000.0 / per_mode_ms[m], 2) for m in MODES
             },
             "fast_speedup": round(speedup, 2),
+            "parallel_chunks": parallel_chunks,
             "outputs_identical": match,
         }
         if args.profile:
@@ -271,6 +292,7 @@ def main() -> int:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "numpy": np.__version__,
+            "cpus": os.cpu_count(),
         },
         "results": results,
         "all_outputs_identical": identical,

@@ -20,11 +20,11 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from ..timeseries.mts import MultivariateTimeSeries
-from ..timeseries.windows import WindowSpec, iter_windows
+from ..timeseries.windows import WindowSpec
 from .config import CADConfig
 from .coappearance import CoAppearanceTracker
 from .parallel import iter_round_communities
-from .pipeline import CommunityPipeline, RoundCommunity, degrade_window
+from .pipeline import CommunityPipeline, RoundCommunity
 from .result import Anomaly, DataQuality, DetectionResult, RoundRecord
 from .variation import RunningMoments, outlier_set, transition_set
 
@@ -81,22 +81,16 @@ class CAD:
     # Algorithm 1: per-round outlier detection
     # ----------------------------------------------------------------- #
 
-    def _outlier_detection(
-        self, window_values: np.ndarray
+    def _apply_stage(
+        self, stage: RoundCommunity
     ) -> tuple[frozenset[int], frozenset[int], int, DataQuality | None]:
-        """One round of Algorithm 1.
+        """Stage B of a round (Algorithm 1): tracker update, outlier set,
+        transitions.
 
         Returns ``(O_r, transitions, c_r, quality)``: the outlier set, the
         vertices entering/leaving it (whose count is ``n_r``), the number of
         communities found, and the data-quality report (None on the
         clean-feed path).
-        """
-        return self._apply_stage(self._pipeline.process(window_values))
-
-    def _apply_stage(
-        self, stage: RoundCommunity
-    ) -> tuple[frozenset[int], frozenset[int], int, DataQuality | None]:
-        """Stage B of a round: tracker update, outlier set, transitions.
 
         Consumes the community structure produced by stage A (either
         in-process via :meth:`CommunityPipeline.process` or shipped back
@@ -123,16 +117,6 @@ class CAD:
         self._previous_outliers = outliers
         self._rounds_processed += 1
         return outliers, transitions, stage.n_communities, quality
-
-    def _degrade_window(
-        self, window_values: np.ndarray
-    ) -> tuple[np.ndarray, DataQuality, np.ndarray | None]:
-        """Mask sensors whose window is too incomplete (degraded-data mode).
-
-        Delegates to :func:`repro.core.pipeline.degrade_window`, which is
-        where stage A (including parallel workers) applies the same rule.
-        """
-        return degrade_window(window_values, self.config)
 
     # ----------------------------------------------------------------- #
     # Warm-up (Algorithm 2, WarmUp)
@@ -241,9 +225,7 @@ class CAD:
         """Stage-A results for every window of ``series``, in round order."""
         if n_jobs is None:
             n_jobs = self.config.n_jobs
-        return iter_round_communities(
-            self._pipeline, iter_windows(series, self.spec), n_jobs
-        )
+        return iter_round_communities(self._pipeline, series.values, n_jobs)
 
     def _record_from_stage(self, stage: RoundCommunity) -> RoundRecord:
         """Stage B plus scoring: turn a stage-A result into a RoundRecord."""

@@ -22,21 +22,20 @@ subsequent streaming ``process_window`` continues exactly where a
 sequential run would have.
 
 Worker-pool design (DESIGN.md §10).  A naive ``ProcessPoolExecutor`` per
-call pays process spawn plus a pickled copy of every window each time, which
-swamps the parallel win for small sensor counts.  This module instead keeps
-one persistent :class:`WorkerPool` per process:
+call pays process spawn on every call, which swamps the parallel win for
+small sensor counts.  This module instead keeps one persistent
+:class:`WorkerPool` per process:
 
 * Workers are long-lived and survive across ``warm_up``/``detect`` calls
   (and across :class:`~repro.runtime.supervisor.StreamSupervisor` watchdog
   retries — recovery restores detector state, not the pool).
-* Windows travel through ``multiprocessing.shared_memory`` ring slots —
-  two per worker, sized on demand — so a chunk submission is one bulk
-  ``memcpy`` into the slot plus a tiny task message; workers build numpy
-  views directly over the slot (zero copy on the read side).  A slot is
-  never rewritten until the result of the task that last used it has been
-  collected, and slot names are never reused, so reader and writer can
-  never overlap.
-* A worker that dies mid-task is respawned on the same queues (the pool's
+* Every task carries its data in the message on the worker's own task
+  queue.  An offline chunk of ``m`` rounds ships one ``(n, w + s·(m−1))``
+  sample span — the columns its windows cover, once — and the worker
+  slices the ``m`` overlapping windows from it, so a chunk costs about
+  ``s/w`` of what its windows would.  An unpickled array is private to the
+  worker: nothing the parent does afterwards can alias it.
+* A worker that dies mid-task is respawned on a fresh queue (the pool's
   ``generation`` counter increments) and its outstanding tasks are
   resubmitted; duplicate results are deduplicated by task id, which is
   safe because stage-A tasks are pure functions of their inputs.
@@ -56,16 +55,15 @@ offloaded rounds stay bit-identical to in-process ones.
 from __future__ import annotations
 
 import atexit
-import itertools
 import math
 import os
 import queue
 import multiprocessing as mp
-from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
+from ..timeseries.windows import WindowSpec
 from .config import CADConfig
 from .pipeline import CommunityPipeline, RoundCommunity
 
@@ -73,21 +71,12 @@ from .pipeline import CommunityPipeline, RoundCommunity
 #: without drowning in task-dispatch overhead.
 _CHUNKS_PER_JOB = 4
 
-#: Shared-memory ring slots per worker.  Two lets the parent stage chunk
-#: ``i + jobs`` while the worker still computes chunk ``i``.
-_SLOTS_PER_WORKER = 2
-
 #: How long a result wait blocks before checking workers for liveness.
 _POLL_SECONDS = 0.1
 
-#: Process-wide counters feeding shared-memory slot names.  Two pools (or
-#: one pool recreated across a fleet restart) must never mint the same
-#: segment name: a stale attachment in a long-lived worker would silently
-#: alias a fresh slot's buffer.  ``_POOL_SERIAL`` distinguishes pool
-#: instances, ``_SLOT_NAME_COUNTER`` is monotonic across every pool in the
-#: process, and the pool generation rides in the name for debuggability.
-_POOL_SERIAL = itertools.count()
-_SLOT_NAME_COUNTER = itertools.count()
+#: One offline chunk: (pipeline state or None, absolute start round,
+#: ``(n, w + s·(m−1))`` sample span, whether to ship the final state back).
+Chunk = tuple[dict[str, Any] | None, int, np.ndarray, bool]
 
 
 class StaleWorkerCacheError(RuntimeError):
@@ -123,36 +112,6 @@ def resolve_jobs(n_jobs: int | None) -> int:
     return n_jobs
 
 
-def _stage_chunk(
-    config: CADConfig,
-    n_sensors: int,
-    pipeline_state: dict[str, Any] | None,
-    start_round: int,
-    windows: list[np.ndarray],
-    return_state: bool,
-) -> tuple[list[RoundCommunity], dict[str, Any] | None]:
-    """Worker entry point: run stage A over one chunk of windows.
-
-    ``pipeline_state`` seeds the first (unaligned) chunk; every other chunk
-    starts a fresh pipeline positioned at its anchor ``start_round`` — the
-    anchor's unconditional refresh/re-rank makes the fresh state exact.
-    Only the final chunk serialises its state back (``return_state``) —
-    that state includes a full window, which is not worth shipping per
-    chunk.
-    """
-    pipeline = CommunityPipeline(config, n_sensors)
-    if pipeline.kernel is not None:
-        if pipeline_state is not None:
-            pipeline.restore_state(pipeline_state)
-        else:
-            pipeline.kernel.seek(start_round)
-    stages = [pipeline.process(window) for window in windows]
-    state_after = None
-    if return_state and pipeline.kernel is not None:
-        state_after = pipeline.to_state()
-    return stages, state_after
-
-
 def _chunk_bounds(
     start_round: int, n_rounds: int, refresh: int | None, jobs: int
 ) -> list[tuple[int, int]]:
@@ -179,9 +138,59 @@ def _chunk_bounds(
     return bounds
 
 
+def _chunk_spans(
+    values: np.ndarray, window: int, step: int, bounds: list[tuple[int, int]]
+) -> list[np.ndarray]:
+    """Per chunk, the sample columns its rounds' windows cover (views)."""
+    return [values[:, lo * step : (hi - 1) * step + window] for lo, hi in bounds]
+
+
+def _chunk_windows(span: np.ndarray, window: int, step: int) -> list[np.ndarray]:
+    """The overlapping windows of a chunk span, in round order (views)."""
+    width = span.shape[1]
+    rounds, rest = divmod(width - window, step)
+    if width < window or rest:
+        raise ValueError(
+            f"chunk span of shape {span.shape} does not hold whole windows "
+            f"(window={window}, step={step})"
+        )
+    return [span[:, r * step : r * step + window] for r in range(rounds + 1)]
+
+
 # --------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------- #
+
+
+def _stage_chunk(
+    config: CADConfig,
+    n_sensors: int,
+    pipeline_state: dict[str, Any] | None,
+    start_round: int,
+    span: np.ndarray,
+    return_state: bool,
+) -> tuple[list[RoundCommunity], dict[str, Any] | None]:
+    """Worker entry point: run stage A over one chunk's sample span.
+
+    ``pipeline_state`` seeds the first (unaligned) chunk; every other chunk
+    starts a fresh pipeline positioned at its anchor ``start_round`` — the
+    anchor's unconditional refresh/re-rank makes the fresh state exact.
+    Only the final chunk serialises its state back (``return_state``) —
+    that state includes a full window, which is not worth shipping per
+    chunk.
+    """
+    windows = _chunk_windows(span, config.window, config.step)
+    pipeline = CommunityPipeline(config, n_sensors)
+    if pipeline.kernel is not None:
+        if pipeline_state is not None:
+            pipeline.restore_state(pipeline_state)
+        else:
+            pipeline.kernel.seek(start_round)
+    stages = [pipeline.process(window) for window in windows]
+    state_after = None
+    if return_state and pipeline.kernel is not None:
+        state_after = pipeline.to_state()
+    return stages, state_after
 
 
 def _stage_tenant_rounds(
@@ -199,10 +208,8 @@ def _stage_tenant_rounds(
     ``pipeline_state`` when shipped, answered with
     :class:`StaleWorkerCacheError` when neither a cache entry nor state
     exists (stateless reference-engine pipelines are simply rebuilt).
-    Windows are *copied* out of the shared slot: unlike chunk tasks, the
-    cached pipeline outlives this task and the fast engine's kernel keeps the
-    previous window by reference, which must not alias a slot the parent
-    will rewrite.
+    The fast engine's kernel keeps the previous window by reference; the
+    windows arrived pickled, so that reference is private to this worker.
     """
     pipeline = cache.get(tenant)
     if pipeline_state is not None or pipeline is None:
@@ -212,7 +219,7 @@ def _stage_tenant_rounds(
                 raise StaleWorkerCacheError(tenant)
             pipeline.restore_state(pipeline_state)
         cache[tenant] = pipeline
-    stages = [pipeline.process(np.array(window)) for window in windows]
+    stages = [pipeline.process(window) for window in windows]
     state_after = None
     if return_state and pipeline.kernel is not None:
         state_after = pipeline.to_state()
@@ -220,86 +227,33 @@ def _stage_tenant_rounds(
 
 
 def _pool_worker(tasks: Any, results: Any) -> None:
-    """Long-lived worker loop: attach slots by name, stage chunks, reply.
-
-    Attachments are cached across tasks (reattaching is a syscall per
-    task otherwise) and closed when the parent retires a slot name or the
-    loop exits.  NumPy views over a slot's buffer are dropped before any
-    close — an outstanding view would make ``close`` raise
-    ``BufferError``.
-    """
-    attachments: dict[str, shared_memory.SharedMemory] = {}
+    """Long-lived worker loop: run each task message, reply with its id."""
     tenant_pipelines: dict[str, CommunityPipeline] = {}
-    try:
-        while True:
-            task = tasks.get()
-            if task is None:
-                return
-            (
-                task_id,
-                slot_name,
-                shape,
-                config,
-                n_sensors,
-                pipeline_state,
-                start_round,
-                return_state,
-                tenant,
-                retired,
-            ) = task
-            for name in retired:
-                old = attachments.pop(name, None)
-                if old is not None:
-                    old.close()
-            block = None
-            windows: list[np.ndarray] | None = None
-            try:
-                try:
-                    shm = attachments.get(slot_name)
-                    if shm is None:
-                        # Attaching registers the name with the parent's
-                        # resource tracker (see WorkerPool._start_worker),
-                        # which already holds it: a no-op.  Unregistering
-                        # here would erase the parent's own registration.
-                        shm = shared_memory.SharedMemory(name=slot_name)
-                        attachments[slot_name] = shm
-                    block = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-                    windows = [block[i] for i in range(shape[0])]
-                    if tenant is not None:
-                        out = _stage_tenant_rounds(
-                            tenant_pipelines,
-                            tenant,
-                            config,
-                            n_sensors,
-                            pipeline_state,
-                            windows,
-                            return_state,
-                        )
-                    else:
-                        out = _stage_chunk(
-                            config,
-                            n_sensors,
-                            pipeline_state,
-                            start_round,
-                            windows,
-                            return_state,
-                        )
-                    payload = (task_id, out, None)
-                except BaseException as exc:
-                    payload = (task_id, None, exc)
-            finally:
-                # Views into the slot buffer must die before the buffer
-                # can ever be closed; the pipeline that borrowed them was
-                # local to _stage_chunk and is already gone.
-                del block, windows
-            results.put(payload)
-            payload = None
-    finally:
-        for shm in attachments.values():
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - views are dropped above
-                pass
+    while True:
+        task = tasks.get()
+        if task is None:
+            return
+        task_id, tenant, config, n_sensors, chunk = task
+        pipeline_state, start_round, data, return_state = chunk
+        try:
+            if tenant is not None:
+                out = _stage_tenant_rounds(
+                    tenant_pipelines,
+                    tenant,
+                    config,
+                    n_sensors,
+                    pipeline_state,
+                    data,
+                    return_state,
+                )
+            else:
+                out = _stage_chunk(
+                    config, n_sensors, pipeline_state, start_round, data, return_state
+                )
+            payload = (task_id, out, None)
+        except BaseException as exc:
+            payload = (task_id, None, exc)
+        results.put(payload)
 
 
 # --------------------------------------------------------------------- #
@@ -307,44 +261,18 @@ def _pool_worker(tasks: Any, results: Any) -> None:
 # --------------------------------------------------------------------- #
 
 
-class _Slot:
-    """One shared-memory staging slot owned by the parent."""
-
-    __slots__ = ("shm", "name", "capacity", "busy")
-
-    def __init__(self, shm: shared_memory.SharedMemory, name: str) -> None:
-        self.shm = shm
-        self.name = name
-        self.capacity = shm.size
-        #: task id currently reading this slot, or None when free.
-        self.busy: int | None = None
-
-
 class _WorkerHandle:
-    """A worker process plus its private task queue and staging slots."""
+    """A worker process plus its private task queue."""
 
-    __slots__ = ("process", "tasks", "slots", "retired")
+    __slots__ = ("process", "tasks")
 
     def __init__(self, process: Any, tasks: Any) -> None:
         self.process = process
         self.tasks = tasks
-        self.slots: list[_Slot | None] = [None] * _SLOTS_PER_WORKER
-        #: slot names replaced since the last task message — shipped with
-        #: the next message so the worker drops its stale attachments.
-        self.retired: list[str] = []
-
-
-class _Pending:
-    __slots__ = ("worker", "ring", "message")
-
-    def __init__(self, worker: int, ring: int, message: tuple) -> None:
-        self.worker = worker
-        self.ring = ring
-        self.message = message
 
 
 class WorkerPool:
-    """Persistent process pool with shared-memory window transport.
+    """Persistent process pool; tasks carry their data on per-worker queues.
 
     One pool serves a whole process (see :func:`get_worker_pool`); it is
     cheap to keep alive — idle workers block on their task queue — and
@@ -361,38 +289,33 @@ class WorkerPool:
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         self._results: Any = self._ctx.Queue()
         self._workers: list[_WorkerHandle] = []
-        self._pending: dict[int, _Pending] = {}
+        #: task id -> (worker index, message), kept for respawn resubmission.
+        self._pending: dict[int, tuple[int, tuple[Any, ...]]] = {}
         self._completed: dict[int, tuple[Any, BaseException | None]] = {}
         self._task_serial = 0
-        self._pool_serial = next(_POOL_SERIAL)
         self._closed = False
         for _ in range(self.jobs):
-            self._workers.append(self._spawn_worker())
+            tasks = self._ctx.Queue()
+            self._workers.append(_WorkerHandle(self._start_worker(tasks), tasks))
 
     @property
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def tasks_submitted(self) -> int:
+        """Tasks dispatched so far (resubmissions after a respawn excluded)."""
+        return self._task_serial
+
     # ------------------------------------------------------------------
     # lifecycle
 
     def _start_worker(self, tasks: Any) -> Any:
-        # Every start method hands children the parent's resource tracker
-        # if it is running — fork inherits it, spawn/forkserver pass its
-        # fd — so workers' slot attachments register where the parent's
-        # slots already are.  Only a fork before the tracker first starts
-        # would leave a worker to launch a private tracker, which unlinks
-        # every segment the worker attached when the worker exits.
-        resource_tracker.ensure_running()
         process = self._ctx.Process(
             target=_pool_worker, args=(tasks, self._results), daemon=True
         )
         process.start()
         return process
-
-    def _spawn_worker(self) -> _WorkerHandle:
-        tasks = self._ctx.Queue()
-        return _WorkerHandle(self._start_worker(tasks), tasks)
 
     def _revive_dead_workers(self) -> None:
         for index, worker in enumerate(self._workers):
@@ -404,20 +327,20 @@ class WorkerPool:
             # Every pending task for this worker is resubmitted below, so
             # tasks stranded in the abandoned queue are covered; a task
             # the dead worker already answered runs twice, which is
-            # harmless (stage-A tasks are pure, slots are read-only to
-            # workers) — the duplicate result is dropped by task id.
+            # harmless (stage-A tasks are pure) — the duplicate result is
+            # dropped by task id.
             self.generation += 1
             old_tasks = worker.tasks
             worker.tasks = self._ctx.Queue()
             worker.process = self._start_worker(worker.tasks)
             old_tasks.close()
             old_tasks.cancel_join_thread()
-            for entry in self._pending.values():
-                if entry.worker == index:
-                    worker.tasks.put(entry.message)
+            for owner, message in self._pending.values():
+                if owner == index:
+                    worker.tasks.put(message)
 
     def shutdown(self) -> None:
-        """Stop workers and release every shared-memory slot."""
+        """Stop workers and close every queue."""
         if self._closed:
             return
         self._closed = True
@@ -433,111 +356,32 @@ class WorkerPool:
                     worker.process.terminate()
                     worker.process.join(timeout=2.0)
         finally:
-            try:
-                for worker in self._workers:
-                    for slot in worker.slots:
-                        if slot is None:
-                            continue
-                        # Per-slot isolation: a close() that raises (e.g.
-                        # BufferError from a still-exported buffer view)
-                        # must not skip the unlink of *this* slot or the
-                        # cleanup of the remaining ones — an unlinked
-                        # segment is reclaimed by the OS either way, a
-                        # skipped unlink leaks /dev/shm past process exit.
-                        try:
-                            slot.shm.close()
-                        except Exception:  # pragma: no cover - see above
-                            pass
-                        finally:
-                            try:
-                                slot.shm.unlink()
-                            except Exception:  # pragma: no cover
-                                pass
-                    worker.slots = [None] * _SLOTS_PER_WORKER
-            finally:
-                for worker in self._workers:
-                    worker.tasks.close()
-                    worker.tasks.cancel_join_thread()
-                self._results.close()
-                self._results.cancel_join_thread()
-                self._pending.clear()
-                self._completed.clear()
+            for worker in self._workers:
+                worker.tasks.close()
+                worker.tasks.cancel_join_thread()
+            self._results.close()
+            self._results.cancel_join_thread()
+            self._pending.clear()
+            self._completed.clear()
 
     # ------------------------------------------------------------------
     # submission / collection
 
-    def _ensure_slot(self, worker: _WorkerHandle, ring: int, nbytes: int) -> _Slot:
-        slot = worker.slots[ring]
-        if slot is not None and slot.capacity >= nbytes:
-            return slot
-        if slot is not None:
-            # Grow by replacement under a fresh name (resizing a mapped
-            # segment in place is not portable).  The old name is shipped
-            # to the worker with the next task so it drops its attachment;
-            # unlinking now is safe — attached readers keep the segment
-            # alive until they close it.
-            worker.retired.append(slot.name)
-            try:
-                slot.shm.close()
-            except Exception:  # pragma: no cover - exported view still live
-                pass
-            finally:
-                try:
-                    slot.shm.unlink()
-                except Exception:  # pragma: no cover
-                    pass
-        # Process-wide unique name: pid + pool serial + pool generation +
-        # a monotonic counter shared by every pool in the process.  A
-        # per-pool counter alone can collide when two pools coexist (or a
-        # fleet restart recreates the pool) and a long-lived worker still
-        # holds an attachment under the stale name.
-        name = (
-            f"repro-{os.getpid()}-p{self._pool_serial}"
-            f"g{self.generation}-{next(_SLOT_NAME_COUNTER)}"
-        )
-        shm = shared_memory.SharedMemory(name=name, create=True, size=max(nbytes, 8))
-        fresh = _Slot(shm, name)
-        worker.slots[ring] = fresh
-        return fresh
-
     def _submit(
         self,
         worker_index: int,
-        ring: int,
         config: CADConfig,
         n_sensors: int,
-        chunk: tuple[dict[str, Any] | None, int, list[np.ndarray], bool],
+        chunk: tuple[dict[str, Any] | None, int, Any, bool],
         tenant: str | None = None,
     ) -> int:
-        pipeline_state, start_round, windows, return_state = chunk
-        worker = self._workers[worker_index]
-        window_len = int(windows[0].shape[1]) if windows else int(config.window)
-        shape = (len(windows), n_sensors, window_len)
-        nbytes = shape[0] * shape[1] * shape[2] * 8
-        slot = self._ensure_slot(worker, ring, nbytes)
-        if windows:
-            block = np.ndarray(shape, dtype=np.float64, buffer=slot.shm.buf)
-            for i, window in enumerate(windows):
-                block[i] = window
-            del block  # view must not outlive the slot (close would raise)
+        if self._closed:
+            raise RuntimeError("worker pool is shut down")
         task_id = self._task_serial
         self._task_serial += 1
-        message = (
-            task_id,
-            slot.name,
-            shape,
-            config,
-            n_sensors,
-            pipeline_state,
-            start_round,
-            return_state,
-            tenant,
-            tuple(worker.retired),
-        )
-        worker.retired.clear()
-        slot.busy = task_id
-        self._pending[task_id] = _Pending(worker_index, ring, message)
-        worker.tasks.put(message)
+        message = (task_id, tenant, config, n_sensors, chunk)
+        self._pending[task_id] = (worker_index, message)
+        self._workers[worker_index].tasks.put(message)
         return task_id
 
     def _collect_any(self) -> None:
@@ -553,14 +397,19 @@ class WorkerPool:
             except queue.Empty:
                 self._revive_dead_workers()
                 continue
-            entry = self._pending.pop(task_id, None)
-            if entry is None:
+            if self._pending.pop(task_id, None) is None:
                 continue  # duplicate of an already-collected task
-            slot = self._workers[entry.worker].slots[entry.ring]
-            if slot is not None and slot.busy == task_id:
-                slot.busy = None
             self._completed[task_id] = (out, exc)
             return
+
+    def _take(self, task_id: int) -> tuple[list[RoundCommunity], dict[str, Any] | None]:
+        while task_id not in self._completed:
+            self._collect_any()
+        out, exc = self._completed.pop(task_id)
+        if exc is not None:
+            raise exc
+        stages, state_after = out
+        return stages, state_after
 
     def submit_tenant_round(
         self,
@@ -580,27 +429,18 @@ class WorkerPool:
         lives exactly where its rounds land).  ``windows`` is usually one
         masked window; an *empty* list is a state-sync probe — no rounds
         run, but ``return_state=True`` ships the cached pipeline state back
-        (used before checkpoints while the parent copy is stale).  Blocks
-        until the worker has a free ring slot; returns the task id for
-        :meth:`collect`.
+        (used before checkpoints while the parent copy is stale).  The
+        windows are pickled when the queue's feeder thread sends them, so
+        the caller must not write into them afterwards.  Returns the task
+        id for :meth:`collect`.
         """
-        if self._closed:
-            raise RuntimeError("worker pool is shut down")
-        worker_index = worker_index % self.jobs
-        while True:
-            worker = self._workers[worker_index]
-            for ring in range(_SLOTS_PER_WORKER):
-                slot = worker.slots[ring]
-                if slot is None or slot.busy is None:
-                    return self._submit(
-                        worker_index,
-                        ring,
-                        config,
-                        n_sensors,
-                        (pipeline_state, 0, windows, return_state),
-                        tenant=tenant,
-                    )
-            self._collect_any()  # both rings feeding earlier tasks
+        return self._submit(
+            worker_index % self.jobs,
+            config,
+            n_sensors,
+            (pipeline_state, 0, windows, return_state),
+            tenant=tenant,
+        )
 
     def collect(
         self, task_id: int
@@ -611,57 +451,35 @@ class WorkerPool:
         :class:`StaleWorkerCacheError`, which the fleet scheduler turns
         into a state re-ship rather than a failure.
         """
-        while task_id not in self._completed:
-            self._collect_any()
-        out, exc = self._completed.pop(task_id)
-        if exc is not None:
-            raise exc
-        stages, state_after = out
-        return stages, state_after
+        return self._take(task_id)
 
     def run_chunks(
         self,
         config: CADConfig,
         n_sensors: int,
-        chunks: list[tuple[dict[str, Any] | None, int, list[np.ndarray], bool]],
+        chunks: list[Chunk],
     ) -> Iterator[tuple[list[RoundCommunity], dict[str, Any] | None]]:
         """Run ``chunks`` on the pool; yield results in submission order.
 
-        Chunk ``i`` maps to worker ``i % jobs``, ring slot
-        ``(i // jobs) % 2`` — deterministic, so a chunk's slot is only
-        ever contended by the chunk ``2 * jobs`` positions earlier, whose
-        result has long been collected by the time it matters.
+        Chunk ``i`` goes to worker ``i % jobs``.  Every chunk is submitted
+        up front: a chunk message is its sample span, so the bytes in
+        flight stay within the segment's own samples plus the overlap of
+        one window per chunk.
         """
-        if self._closed:
-            raise RuntimeError("worker pool is shut down")
-        total = len(chunks)
-        ids: list[int | None] = [None] * total
-        submitted = 0
-
-        def submit_ready() -> None:
-            nonlocal submitted
-            while submitted < total:
-                worker_index = submitted % self.jobs
-                ring = (submitted // self.jobs) % _SLOTS_PER_WORKER
-                slot = self._workers[worker_index].slots[ring]
-                if slot is not None and slot.busy is not None:
-                    return  # slot still feeding an earlier task
-                ids[submitted] = self._submit(
-                    worker_index, ring, config, n_sensors, chunks[submitted]
-                )
-                submitted += 1
-
-        for position in range(total):
-            while True:
-                submit_ready()
-                task_id = ids[position]
-                if task_id is not None and task_id in self._completed:
-                    break
-                self._collect_any()
-            out, exc = self._completed.pop(task_id)
-            if exc is not None:
-                raise exc
-            yield out
+        ids = [
+            self._submit(index % self.jobs, config, n_sensors, chunk)
+            for index, chunk in enumerate(chunks)
+        ]
+        try:
+            for task_id in ids:
+                yield self._take(task_id)
+        finally:
+            # After a failed chunk (or an abandoned iteration) the later
+            # results are unwanted: forgetting their ids drops them on
+            # arrival and keeps a respawn from resubmitting them.
+            for task_id in ids:
+                self._pending.pop(task_id, None)
+                self._completed.pop(task_id, None)
 
 
 # --------------------------------------------------------------------- #
@@ -678,8 +496,9 @@ def get_worker_pool(jobs: int) -> WorkerPool:
     """The process-wide pool, created (or grown) on demand.
 
     A pool with at least ``jobs`` workers is reused as-is; a smaller one
-    is replaced.  Results are bit-identical either way — worker count only
-    affects scheduling, never chunking.
+    is replaced.  Results are bit-identical either way.  The chunk cut is
+    not: :func:`iter_round_communities` sizes its chunks from the job count
+    it was asked for (:func:`_chunk_bounds`), never from the pool's size.
     """
     global _POOL
     jobs = resolve_jobs(jobs)
@@ -719,48 +538,43 @@ atexit.register(shutdown_worker_pool)
 
 def iter_round_communities(
     pipeline: CommunityPipeline,
-    windows: Iterable[np.ndarray],
+    values: np.ndarray,
     n_jobs: int | None = 1,
 ) -> Iterator[RoundCommunity]:
-    """Yield stage-A results for ``windows`` in round order.
+    """Yield stage-A results for every window of the ``(n, T)`` ``values``.
 
-    With ``n_jobs == 1`` — or when the segment is too short to split at an
-    anchor — this streams through the caller's pipeline in-process (a pool
-    round-trip for a single chunk is pure overhead, which is what made the
-    old per-call pool *slower* than sequential at small ``n``).  Otherwise
-    it fans refresh-aligned chunks over the persistent worker pool, yields
-    the (identical) results in order, and leaves the pipeline in the same
-    state a sequential run would have.
+    Windows follow the pipeline's ``(window, step)``; trailing columns that
+    do not fill a step are dropped, as in
+    :func:`~repro.timeseries.windows.iter_windows`.  With ``n_jobs == 1`` —
+    or when the segment is too short to split at an anchor — this streams
+    views of ``values`` through the caller's pipeline in-process (a pool
+    round-trip for a single chunk is pure overhead).  Otherwise it fans
+    refresh-aligned chunks, one sample span each, over the persistent
+    worker pool, yields the (identical) results in order, and leaves the
+    pipeline in the same state a sequential run would have.
     """
+    window, step = pipeline.config.window, pipeline.config.step
+    n_rounds = WindowSpec(window, step).n_rounds(values.shape[1])
     jobs = resolve_jobs(n_jobs)
-    if jobs == 1:
-        for window in windows:
-            yield pipeline.process(window)
-        return
-
-    window_list = [np.ascontiguousarray(w, dtype=np.float64) for w in windows]
-    n_rounds = len(window_list)
-    if n_rounds == 0:
-        return
-
     kernel = pipeline.kernel
     start_round = 0 if kernel is None else kernel.rounds_seen
     refresh = None if kernel is None else kernel.refresh_every
-    bounds = _chunk_bounds(start_round, n_rounds, refresh, jobs)
-    if len(bounds) == 1:
-        for window in window_list:
-            yield pipeline.process(window)
+    bounds = _chunk_bounds(start_round, n_rounds, refresh, jobs) if jobs > 1 else []
+    if len(bounds) < 2:
+        for r in range(n_rounds):
+            yield pipeline.process(values[:, r * step : r * step + window])
         return
 
     first_state = None if kernel is None else pipeline.to_state()
-    chunks = [
+    spans = _chunk_spans(values, window, step, bounds)
+    chunks: list[Chunk] = [
         (
             first_state if index == 0 else None,
             start_round + lo,
-            window_list[lo:hi],
+            span,
             index == len(bounds) - 1,
         )
-        for index, (lo, hi) in enumerate(bounds)
+        for index, ((lo, _), span) in enumerate(zip(bounds, spans))
     ]
     pool = get_worker_pool(jobs)
     last_state: dict[str, Any] | None = None

@@ -136,13 +136,7 @@ class StreamingCAD:
         Returns the round's :class:`RoundRecord` when this sample completes
         a window, else ``None``.
         """
-        sample = np.asarray(sample, dtype=np.float64).reshape(-1)
-        if sample.shape != (self._n_sensors,):
-            raise ValueError(
-                f"expected sample of {self._n_sensors} readings, got {sample.shape}"
-            )
-        self._validate_sample(sample)
-        return self._ingest(sample)
+        return self._ingest(self._checked_sample(sample))
 
     def peek_window(self, sample: np.ndarray) -> np.ndarray:
         """The window the *next* push would score, without ingesting.
@@ -156,17 +150,8 @@ class StreamingCAD:
         itself stays untouched until the result is applied via
         :meth:`push_staged`.
         """
-        sample = np.asarray(sample, dtype=np.float64).reshape(-1)
-        if sample.shape != (self._n_sensors,):
-            raise ValueError(
-                f"expected sample of {self._n_sensors} readings, got {sample.shape}"
-            )
-        self._validate_sample(sample)
-        if self._samples_seen + 1 != self._next_round_end:
-            raise ValueError(
-                f"peek_window is only legal at a round boundary; next sample is "
-                f"{self._samples_seen + 1}, round closes at {self._next_round_end}"
-            )
+        sample = self._checked_sample(sample)
+        self._require_round_boundary("peek_window")
         window = self._config.window
         out = np.empty((self._n_sensors, window), dtype=np.float64)
         keep = window - 1
@@ -196,29 +181,31 @@ class StreamingCAD:
         *stale* — the caller owns re-syncing it before any in-process
         round or checkpoint (see ``StreamSupervisor.pipeline_stale``).
         """
+        sample = self._checked_sample(sample)
+        self._require_round_boundary("push_staged")
+        self._append(sample)
+        if pipeline_state is not None:
+            self._detector.pipeline.restore_state(pipeline_state)
+        record = self._detector.process_staged(stage)
+        self._next_round_end += self._config.step
+        return record
+
+    def _checked_sample(self, sample: np.ndarray) -> np.ndarray:
+        """``sample`` as a validated float row of ``n_sensors`` readings."""
         sample = np.asarray(sample, dtype=np.float64).reshape(-1)
         if sample.shape != (self._n_sensors,):
             raise ValueError(
                 f"expected sample of {self._n_sensors} readings, got {sample.shape}"
             )
         self._validate_sample(sample)
+        return sample
+
+    def _require_round_boundary(self, caller: str) -> None:
         if self._samples_seen + 1 != self._next_round_end:
             raise ValueError(
-                f"push_staged is only legal at a round boundary; next sample is "
+                f"{caller} is only legal at a round boundary; next sample is "
                 f"{self._samples_seen + 1}, round closes at {self._next_round_end}"
             )
-        if self._end == self._capacity:
-            keep = self._config.window - 1
-            self._buffer[:, :keep] = self._buffer[:, self._end - keep : self._end]
-            self._end = keep
-        self._buffer[:, self._end] = sample
-        self._end += 1
-        self._samples_seen += 1
-        if pipeline_state is not None:
-            self._detector.pipeline.restore_state(pipeline_state)
-        record = self._detector.process_staged(stage)
-        self._next_round_end += self._config.step
-        return record
 
     def _validate_sample(self, sample: np.ndarray) -> None:
         infinite = np.isinf(sample)
@@ -235,7 +222,8 @@ class StreamingCAD:
                 "stream degraded data",
             )
 
-    def _ingest(self, sample: np.ndarray) -> RoundRecord | None:
+    def _append(self, sample: np.ndarray) -> None:
+        """Write one sample into the ring buffer, sliding it when full."""
         if self._end == self._capacity:
             # Slide: only the last window - 1 columns can still be part of a
             # future window once this sample lands.
@@ -245,6 +233,9 @@ class StreamingCAD:
         self._buffer[:, self._end] = sample
         self._end += 1
         self._samples_seen += 1
+
+    def _ingest(self, sample: np.ndarray) -> RoundRecord | None:
+        self._append(sample)
         if self._samples_seen < self._next_round_end:
             return None
 

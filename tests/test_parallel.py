@@ -16,11 +16,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CAD, CADConfig, StreamingCAD
 from repro.core.parallel import (
     StaleWorkerCacheError,
     _chunk_bounds,
+    _chunk_spans,
+    _chunk_windows,
     get_worker_pool,
     pool_generation,
     resolve_jobs,
@@ -28,7 +32,7 @@ from repro.core.parallel import (
     shutdown_worker_pool,
 )
 from repro.core.pipeline import CommunityPipeline
-from repro.timeseries import MultivariateTimeSeries
+from repro.timeseries import MultivariateTimeSeries, WindowSpec, iter_windows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -130,6 +134,39 @@ class TestChunkBounds:
         assert _chunk_bounds(3, 4, 64, jobs=4) == [(0, 4)]
 
 
+@given(
+    n=st.integers(2, 6),
+    window=st.integers(2, 30),
+    step_frac=st.floats(0.0, 1.0),
+    rounds=st.integers(1, 60),
+    tail=st.integers(0, 29),
+    start_round=st.integers(0, 200),
+    refresh=st.one_of(st.none(), st.integers(1, 40)),
+    jobs=st.integers(1, 5),
+)
+@settings(max_examples=150, deadline=None)
+def test_chunk_spans_hold_exactly_their_windows(
+    n, window, step_frac, rounds, tail, start_round, refresh, jobs
+):
+    """Each chunk ships one sample span: its windows, bitwise, and no more."""
+    step = 1 + int(step_frac * (window - 2))  # 1 <= step < window
+    length = window + step * (rounds - 1) + tail % step
+    values = np.random.default_rng(rounds).standard_normal((n, length))
+    series = MultivariateTimeSeries(values)
+    expected = list(iter_windows(series, WindowSpec(window, step)))
+    assert len(expected) == rounds
+    bounds = _chunk_bounds(start_round, rounds, refresh, jobs)
+    spans = _chunk_spans(series.values, window, step, bounds)
+    assert len(spans) == len(bounds)
+    for (lo, hi), span in zip(bounds, spans):
+        m = hi - lo
+        assert span.size == n * (window + step * (m - 1))
+        windows = _chunk_windows(span, window, step)
+        assert len(windows) == m
+        for offset, got in enumerate(windows):
+            assert got.tobytes() == expected[lo + offset].tobytes()
+
+
 class TestParallelDetect:
     @pytest.mark.parametrize("n_jobs", [2, 4])
     def test_identical_to_sequential(self, n_jobs):
@@ -194,7 +231,7 @@ class TestParallelDetect:
 
 
 class TestWorkerPool:
-    """The persistent shared-memory pool: reuse, respawn, error paths."""
+    """The persistent worker pool: reuse, respawn, error paths."""
 
     def test_pool_persists_across_calls(self):
         shutdown_worker_pool()
@@ -239,10 +276,22 @@ class TestWorkerPool:
     def test_worker_errors_propagate_and_pool_survives(self):
         config = make_config()
         pipeline = CommunityPipeline(config, 9)
-        bad_window = [np.zeros((9, config.window + 1))]
+        # One column past a window: not a whole number of steps.
+        bad_span = np.zeros((9, config.window + 1))
+        good_span = np.zeros((9, config.window))
         pool = get_worker_pool(2)
-        with pytest.raises(ValueError, match="shape"):
-            list(pool.run_chunks(config, 9, [(pipeline.to_state(), 0, bad_window, True)]))
+        with pytest.raises(ValueError, match="whole windows"):
+            list(
+                pool.run_chunks(
+                    config,
+                    9,
+                    [
+                        (pipeline.to_state(), 0, bad_span, False),
+                        (None, 8, good_span, True),
+                    ],
+                )
+            )
+        assert not pool._pending and not pool._completed
         # The pool must stay usable after a failed chunk.
         series = make_series(seed=23, length=900)
         sequential = CAD(make_config(), series.n_sensors)
@@ -253,10 +302,9 @@ class TestWorkerPool:
         )
 
     def test_pool_lifetimes_keep_resource_tracker_consistent(self):
-        # A fresh interpreter, so the first pool forks before the resource
-        # tracker exists and the second one after it is running: workers
-        # must never erase the parent's slot registrations (the tracker
-        # then prints KeyError tracebacks on every unlink) or leak slots.
+        # A fresh interpreter running two pool lifetimes back to back: the
+        # pool must leave nothing in /dev/shm and never trip the resource
+        # tracker (which prints KeyError tracebacks on a bad unregister).
         script = textwrap.dedent(
             """
             import os
@@ -330,27 +378,7 @@ class TestParallelAfterRestore:
 
 class TestTenantRounds:
     """Fleet-facing pool API: shard-affine tenant rounds over cached
-    worker pipelines, and the slot-name uniqueness the cache depends on."""
-
-    def test_slot_names_never_reused_across_pools(self):
-        # Two pools (or a fleet restart recreating the pool) must never
-        # mint the same shared-memory name: a long-lived worker can still
-        # hold an attachment under the old name, and reattaching it to a
-        # fresh slot's buffer would silently alias unrelated windows.
-        shutdown_worker_pool()
-        config = make_config()
-        series = make_series(seed=31, length=700)
-        names = set()
-        for jobs in (2, 3, 2):
-            pool = get_worker_pool(jobs)
-            CAD(config, series.n_sensors).detect(series, n_jobs=jobs)
-            for worker in pool._workers:
-                for slot in worker.slots:
-                    if slot is not None:
-                        assert slot.name not in names, "slot name reused"
-                        names.add(slot.name)
-        shutdown_worker_pool()
-        assert len(names) >= 4
+    worker pipelines."""
 
     def test_cache_miss_raises_then_state_ship_heals(self):
         shutdown_worker_pool()
