@@ -13,7 +13,10 @@ the standard CSR layout, both edge directions stored) and provides:
 * :func:`louvain_csr` / :func:`label_propagation_csr` — array-backed
   community detection mirroring the deterministic dict implementations
   move for move (same visit order, same candidate order, same tie-breaks),
-  so they produce the same labels;
+  so they produce the same labels.  After a level's first sweep, Louvain
+  evaluates only community-boundary vertices and the neighbours of vertices
+  that moved; an interior vertex's evaluation provably keeps it in place
+  and writes nothing, so the skip changes no decision;
 * :func:`modularity_csr` — vectorised Newman modularity.
 
 Label equivalence caveat: the dict and CSR code paths accumulate the same
@@ -114,11 +117,9 @@ class CSRGraph:
         """Per-vertex sum of incident edge weights, as an ``(n,)`` array.
 
         Cached after the first call; treat the returned array as read-only.
-        The graph is immutable — code that patches CSR arrays (the delta TSG
+        The graph is immutable: code that patches CSR arrays (the delta TSG
         builder) always constructs a *new* :class:`CSRGraph`, so a fresh
-        instance (with empty caches) is the invalidation protocol.  Anything
-        that mutates the arrays of a live instance in place must call
-        :meth:`invalidate_caches` afterwards.
+        instance (with empty caches) is the invalidation protocol.
         """
         if self._degrees is None:
             rows = np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
@@ -126,16 +127,6 @@ class CSRGraph:
                 rows, weights=self.weights, minlength=self.n_vertices
             )
         return self._degrees
-
-    def invalidate_caches(self) -> None:
-        """Drop cached degree/weight reductions after an in-place edit.
-
-        The supported protocol is immutability (build a new graph instead of
-        editing one), but this hook keeps the caches sound for code that
-        must patch arrays in place.
-        """
-        self._degrees = None
-        self._total = None
 
     def absolute(self) -> "CSRGraph":
         """Copy with absolute weights (Louvain needs non-negative input)."""
@@ -210,8 +201,8 @@ class _CSRLevel:
         self.weights = weights
         self.self_weight = self_weight
         n = self_weight.size
-        # Kept around: the static mover scan regroups edges by (row, label)
-        # every call, and rebuilding the row index there would dominate it.
+        # Kept around: every later sweep's boundary mask and the
+        # aggregation step index edges by their source row.
         self.rows = np.repeat(np.arange(n), np.diff(indptr))
         row_sums = np.bincount(self.rows, weights=weights, minlength=n)
         self.degree = row_sums + 2.0 * self_weight
@@ -220,85 +211,6 @@ class _CSRLevel:
     @property
     def n(self) -> int:
         return self.self_weight.size
-
-
-#: Mover-count ceiling for the scan-driven jump pass.  Each jumped move
-#: pays a fresh static scan (a numpy sort over E edges), so beyond a few
-#: movers one full Python sweep is cheaper than the rescans.
-_SPARSE_JUMP_MAX = 3
-
-#: Below this many vertices the pure-Python sweep is faster than any scan
-#: (numpy dispatch alone outweighs the loop), so aggregated Louvain levels
-#: — typically a handful of super-vertices — never pay scan overhead.
-_SCAN_MIN_VERTICES = 64
-
-#: Up to this many vertices the mover scan regroups edges through a dense
-#: (n, n) scratch (bincount over flat keys) instead of sorting them with
-#: ``np.unique`` — cheaper while n^2 stays cache-sized.
-_DENSE_SCAN_MAX = 128
-
-
-def _static_mover_scan(
-    level: _CSRLevel,
-    labels: list[int],
-    community_degree: list[float],
-    resolution: float,
-    min_gain: float,
-) -> np.ndarray:
-    """Vertices the sequential sweep would move *at the current state*.
-
-    Bitwise-faithful to the Python evaluation in :func:`_one_level_csr`:
-    per-(vertex, candidate) link sums accumulate in the same order (CSR
-    columns are ascending and ``np.bincount`` adds sequentially in input
-    order, exactly like the dict accumulation), and the gain expression
-    applies the same operations in the same order.  A vertex moves on its
-    sequential evaluation iff *some* candidate's gain exceeds
-    ``0.0 + min_gain`` — the first acceptance of the sequential loop — so
-    move/no-move is decided here without replaying the tie-break; the
-    mover's target label is left to the exact sequential evaluation.
-
-    Because evaluating a non-mover has no side effects (see the evaluator),
-    every vertex this scan clears can be skipped outright: the sweep state
-    provably does not change until the first flagged vertex.
-    """
-    n = level.n
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    cd = np.asarray(community_degree, dtype=np.float64)
-    keys = level.rows * np.int64(n) + labels_arr[level.indices]
-    deg = level.degree
-    if n <= _DENSE_SCAN_MAX:
-        # Dense regrouping: bincount over flat (vertex, label) keys sums the
-        # same weights in the same sequential input order as the sparse
-        # unique/inverse path, so every link sum is bitwise identical; a
-        # separate presence mask distinguishes absent pairs from pairs whose
-        # weights sum to zero.
-        link = np.bincount(keys, weights=level.weights, minlength=n * n)
-        present = np.zeros(n * n, dtype=bool)
-        present[keys] = True
-        link_mat = link.reshape(n, n)
-        arange = np.arange(n)
-        own_links = link_mat[arange, labels_arr]
-        removed = cd[labels_arr] - deg
-        base = own_links - resolution * deg * removed / level.two_m
-        gain = (link_mat - resolution * deg[:, None] * cd[None, :] / level.two_m) - base[:, None]
-        hot = present.reshape(n, n) & (gain > min_gain)
-        hot[arange, labels_arr] = False
-        movers: np.ndarray = hot.any(axis=1)
-        return movers
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    link_sum = np.bincount(inverse, weights=level.weights, minlength=unique_keys.size)
-    gsrc = unique_keys // n
-    glab = unique_keys % n
-    own = glab == labels_arr[gsrc]
-    own_links = np.zeros(n, dtype=np.float64)
-    own_links[gsrc[own]] = link_sum[own]
-    removed = cd[labels_arr] - deg
-    base = own_links - resolution * deg * removed / level.two_m
-    gain = (link_sum - resolution * deg[gsrc] * cd[glab] / level.two_m) - base[gsrc]
-    movers = np.zeros(n, dtype=bool)
-    hot = ~own & (gain > min_gain)
-    movers[gsrc[hot]] = True
-    return movers
 
 
 def _one_level_csr(
@@ -310,22 +222,24 @@ def _one_level_csr(
 
     The sweep is inherently sequential (each move feeds the next vertex's
     gains), so per-vertex numpy calls would pay ~100x their arithmetic in
-    dispatch overhead.  Dense movement (the first sweep's cascade) runs on
-    flat Python lists extracted once per level.  Once movement thins, a
-    vectorised static scan (:func:`_static_mover_scan`) finds the few
-    vertices that can still move and the sweep jumps straight between them,
-    skipping the converged majority — and the final would-be confirmation
-    sweep collapses to one scan.  Both paths take identical decisions, so
-    the hybrid is exactly the sequential sweep, only faster.
+    dispatch overhead; it runs on flat Python lists extracted once per
+    level.  The first sweep evaluates every vertex.  Each later sweep
+    evaluates only the vertices on a community boundary when it starts (one
+    vectorised mask over the level's edges) plus the neighbours of every
+    vertex that moves during it.  The level ends on the first sweep with no
+    moves.
 
-    Enabling invariant: evaluating a vertex that does *not* move leaves
-    ``community_degree`` untouched (the remove-from-own-community step is
-    computed on a scratch value and only written back on an actual move).
-    The classic formulation's ``-= deg`` / ``+= deg`` round trip would
-    perturb the entry by ~1 ulp per evaluation; dropping it both makes
-    non-mover evaluations skippable and removes float noise.  Relative to
-    the dict path this shifts intermediates by at most the same ~1 ulp the
-    module docstring already budgets for.
+    Why the skip is exact: evaluating a vertex that stays writes nothing
+    (the remove-from-own-community step is computed on a scratch value and
+    only written back on an actual move).  A vertex whose neighbours all
+    share its label has one candidate, its own label, so it stays.  Its
+    neighbourhood changes only when a neighbour moves, and that move marks
+    it.  Skipping the unmarked interior therefore reproduces the full
+    sequential sweep decision for decision.  (The classic formulation's
+    ``-= deg`` / ``+= deg`` round trip on a stay would perturb
+    ``community_degree`` by ~1 ulp; relative to the dict path, dropping it
+    shifts intermediates by at most the ~1 ulp the module docstring already
+    budgets for.)
     """
     n = level.n
     two_m = level.two_m
@@ -335,149 +249,72 @@ def _one_level_csr(
     community_degree = level.degree.tolist()
     degree = level.degree.tolist()
 
-    # Per-vertex (neighbour, weight) pair lists, built once per level —
-    # dense sweeps revisit every vertex, so the extraction amortises
-    # immediately.
+    # Per-vertex neighbour and weight lists, built once per level: the
+    # first sweep visits every vertex, so the extraction amortises
+    # immediately.  (Slicing two flat lists is several times cheaper than
+    # materialising one (neighbour, weight) tuple per edge.)
     indptr = level.indptr.tolist()
-    pairs = list(zip(level.indices.tolist(), level.weights.tolist()))
-    adjacency = [pairs[indptr[v] : indptr[v + 1]] for v in range(n)]
-
-    def evaluate(v: int) -> bool:
-        """The exact sequential evaluation of one vertex; True iff it moved."""
-        neighbors = adjacency[v]
-        if not neighbors:
-            return False
-        old = labels[v]
-        links: dict[int, float] = {}
-        # CSR columns are sorted, so accumulation order per label is
-        # ascending neighbour index — the same order ``np.bincount``
-        # would add them in.  (The explicit membership test beats both
-        # dict.get and try/except: early sweeps miss constantly, and
-        # CPython specialises the contains + subscript pair.)
-        for u, w in neighbors:
-            label = labels[u]
-            if label in links:
-                links[label] += w
-            else:
-                links[label] = w
-
-        deg_v = degree[v]
-        removed = community_degree[old] - deg_v
-        base = links.get(old, 0.0) - resolution * deg_v * removed / two_m
-        best_label = old
-        best_gain = 0.0
-        # Sorted candidates + strict min_gain beat: the dict tie-break.
-        # One-candidate dicts (converged interiors) skip the sort.
-        candidates = links if len(links) == 1 else sorted(links)
-        for label in candidates:
-            if label == old:
-                continue
-            gain = (
-                links[label]
-                - resolution * deg_v * community_degree[label] / two_m
-            ) - base
-            if gain > best_gain + min_gain:
-                best_gain = gain
-                best_label = label
-        if best_label == old:
-            return False
-        community_degree[old] = removed
-        community_degree[best_label] += deg_v
-        labels[v] = best_label
-        return True
+    indices = level.indices.tolist()
+    weights = level.weights.tolist()
+    neighbor_ids = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
+    neighbor_weights = [weights[indptr[v] : indptr[v + 1]] for v in range(n)]
 
     improved_any = False
-    # Driver: dense movement (a cold start's first sweeps) runs as plain
-    # inline Python sweeps — a scan is wasted work while most vertices
-    # still move.  Once a sweep's movement falls below ~n/3 the cascade is
-    # over, and the scan takes the wheel: it either proves convergence
-    # outright (replacing the would-be confirmation sweep), hands a
-    # handful of movers to the jump pass, or sends the sweep back out.
-    # Scanning earlier or later never affects the result, only the cost:
-    # sweeps and jumps take bitwise-identical decisions.
-    use_scans = n >= _SCAN_MIN_VERTICES
-    dense_cutoff = n // 3
-    next_action = "sweep"
+    active = set(range(n))  # the first sweep evaluates every vertex ...
+    marking = False  # ... so it needs no marks from movers
     while True:
-        if not use_scans or next_action == "sweep":
-            # The sweep is `evaluate` inlined: per-vertex function calls
-            # cost ~15% of the whole level at bench sizes.
-            moves = 0
-            for v in range(n):
-                neighbors = adjacency[v]
-                if not neighbors:
+        moves = 0
+        for v in range(n):
+            if v not in active:
+                continue
+            neighbors = neighbor_ids[v]
+            if not neighbors:
+                continue
+            old = labels[v]
+            links: dict[int, float] = {}
+            # CSR columns are sorted, so accumulation order per label is
+            # ascending neighbour index.  (The explicit membership test
+            # beats both dict.get and try/except: early sweeps miss
+            # constantly, and CPython specialises the contains + subscript
+            # pair.)
+            for u, w in zip(neighbors, neighbor_weights[v]):
+                label = labels[u]
+                if label in links:
+                    links[label] += w
+                else:
+                    links[label] = w
+            deg_v = degree[v]
+            removed = community_degree[old] - deg_v
+            base = links.get(old, 0.0) - resolution * deg_v * removed / two_m
+            best_label = old
+            best_gain = 0.0
+            # Sorted candidates + strict min_gain beat: the dict tie-break.
+            # One-candidate dicts skip the sort.
+            candidates = links if len(links) == 1 else sorted(links)
+            for label in candidates:
+                if label == old:
                     continue
-                old = labels[v]
-                links = {}
-                for u, w in neighbors:
-                    label = labels[u]
-                    if label in links:
-                        links[label] += w
-                    else:
-                        links[label] = w
-                deg_v = degree[v]
-                removed = community_degree[old] - deg_v
-                base = links.get(old, 0.0) - resolution * deg_v * removed / two_m
-                best_label = old
-                best_gain = 0.0
-                candidates = links if len(links) == 1 else sorted(links)
-                for label in candidates:
-                    if label == old:
-                        continue
-                    gain = (
-                        links[label]
-                        - resolution * deg_v * community_degree[label] / two_m
-                    ) - base
-                    if gain > best_gain + min_gain:
-                        best_gain = gain
-                        best_label = label
-                if best_label != old:
-                    community_degree[old] = removed
-                    community_degree[best_label] += deg_v
-                    labels[v] = best_label
-                    moves += 1
-            if moves == 0:
-                break  # a full sweep with no moves: the level converged
-            improved_any = True
-            if use_scans and moves <= dense_cutoff:
-                next_action = "scan"
-            continue
-        movers = _static_mover_scan(level, labels, community_degree, resolution, min_gain)
-        mover_list = np.flatnonzero(movers)
-        if mover_list.size == 0:
-            break  # nothing can move: the next sweep would confirm this
-        if mover_list.size > _SPARSE_JUMP_MAX:
-            next_action = "sweep"  # too many movers for per-move rescans
-            continue
-        # Jump pass: evaluate flagged vertices in ascending order — the
-        # exact order the sequential sweep reaches them — rescanning after
-        # each move because a move invalidates the certificate.  A flagged
-        # vertex evaluated at the certifying state always moves.
-        position = 0
-        densified = False
-        while True:
-            at = int(np.searchsorted(mover_list, position))
-            if at == mover_list.size:
-                break  # pass wrapped; the outer loop rescans from vertex 0
-            v = int(mover_list[at])
-            evaluate(v)
-            improved_any = True
-            position = v + 1
-            if position >= n:
-                break
-            movers = _static_mover_scan(
-                level, labels, community_degree, resolution, min_gain
-            )
-            mover_list = np.flatnonzero(movers)
-            if mover_list.size > _SPARSE_JUMP_MAX:
-                # Movement re-densified mid-pass: finish this pass exactly
-                # with a partial sweep, then fall back to dense sweeps.
-                for u in range(position, n):
-                    if evaluate(u):
-                        improved_any = True
-                densified = True
-                break
-        next_action = "sweep" if densified else "scan"
+                gain = (
+                    links[label]
+                    - resolution * deg_v * community_degree[label] / two_m
+                ) - base
+                if gain > best_gain + min_gain:
+                    best_gain = gain
+                    best_label = label
+            if best_label != old:
+                community_degree[old] = removed
+                community_degree[best_label] += deg_v
+                labels[v] = best_label
+                if marking:
+                    active.update(neighbors)
+                moves += 1
+        if moves == 0:
+            break  # a sweep with no moves: the level converged
+        improved_any = True
+        current = np.asarray(labels, dtype=np.int64)
+        boundary = current[level.rows] != current[level.indices]
+        active = set(level.rows[boundary].tolist())
+        marking = True
     return np.asarray(labels, dtype=np.int64), improved_any
 
 

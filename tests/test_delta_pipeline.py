@@ -57,9 +57,14 @@ def feed():
 
 
 def assert_csr_equal(got, expected):
-    assert np.array_equal(got.indptr, expected.indptr)
-    assert np.array_equal(got.indices, expected.indices)
-    assert np.array_equal(got.weights, expected.weights)
+    # Same values, dtype and C-contiguous layout: Louvain then reads
+    # byte-identical arrays whichever way the TSG was built.
+    for name in ("indptr", "indices", "weights"):
+        got_array, expected_array = getattr(got, name), getattr(expected, name)
+        assert np.array_equal(got_array, expected_array), name
+        assert got_array.dtype == expected_array.dtype, name
+        assert got_array.flags.c_contiguous, name
+        assert expected_array.flags.c_contiguous, name
 
 
 class TestDeltaBuilder:

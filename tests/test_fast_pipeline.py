@@ -8,6 +8,8 @@ dict reference implementations label for label.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CAD, CADConfig, build_tsg
 from repro.graph import (
@@ -25,6 +27,7 @@ from repro.graph import (
     tsg_csr,
     tsg_edge_arrays,
 )
+from repro.graph.csr import louvain_labels_csr
 from repro.timeseries import (
     MultivariateTimeSeries,
     RollingCorrelation,
@@ -206,7 +209,56 @@ class TestCSRGraph:
         assert louvain_csr(csr).labels == (0, 1, 2, 3)
 
 
+def planted_partition_edges(seed, n, blocks, tau, p_out, isolated_frac):
+    """Planted-partition edges ``(rows, cols, weights)`` with rows < cols.
+
+    Vertices get shuffled block labels, so blocks interleave in visit
+    order.  Intra-block edges are heavy, inter-block edges light (none
+    when ``p_out`` is 0); about a tenth of all weights are exactly 0.0, so
+    ``tau=0`` keeps zero-weight edges.  A fraction of vertices loses every
+    edge and stays isolated.
+    """
+    rng = np.random.default_rng(seed)
+    block = rng.integers(0, blocks, size=n)
+    rows, cols = np.triu_indices(n, k=1)
+    same = block[rows] == block[cols]
+    block_size = max(n / blocks, 2.0)
+    p_in = min(1.0, rng.uniform(2.0, 10.0) / block_size)
+    keep = rng.random(rows.size) < np.where(same, p_in, p_out)
+    isolated = rng.random(n) < isolated_frac
+    keep &= ~isolated[rows] & ~isolated[cols]
+    rows, cols, same = rows[keep], cols[keep], same[keep]
+    weights = np.where(
+        same, rng.uniform(0.5, 1.0, rows.size), rng.uniform(0.0, 0.5, rows.size)
+    )
+    weights[rng.random(rows.size) < 0.1] = 0.0
+    survive = weights >= tau
+    return rows[survive], cols[survive], weights[survive]
+
+
 class TestCSRCommunities:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        blocks=st.integers(1, 12),
+        tau=st.one_of(st.just(0.0), st.floats(0.0, 0.6)),
+        p_out=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+        isolated_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    )
+    def test_louvain_labels_match_dict_on_planted_partitions(
+        self, seed, n, blocks, tau, p_out, isolated_frac
+    ):
+        rows, cols, weights = planted_partition_edges(
+            seed, n, blocks, tau, p_out, isolated_frac
+        )
+        graph = Graph(n)
+        for u, v, w in zip(rows.tolist(), cols.tolist(), weights.tolist()):
+            graph.add_edge(u, v, w)
+        csr = CSRGraph.from_edges(n, rows, cols, weights)
+        labels = louvain_labels_csr(csr)
+        assert tuple(labels.tolist()) == louvain(graph).labels
+
     @pytest.mark.parametrize("seed", range(8))
     def test_louvain_labels_match_dict(self, seed):
         rng = np.random.default_rng(100 + seed)
