@@ -22,7 +22,7 @@ import json
 import os
 import zipfile
 from pathlib import Path
-from typing import Any, Mapping
+from typing import IO, Any, Callable, Mapping
 
 import numpy as np
 
@@ -84,11 +84,9 @@ _MANIFEST_FORMAT = "repro-fleet-manifest"
 def save_checkpoint(stream: StreamingCAD, path: str | Path) -> None:
     """Write ``stream``'s full state to ``path`` as an ``.npz`` archive.
 
-    The write is *atomic*: the archive is staged to a ``<path>.tmp`` sibling,
-    flushed and fsynced, then moved into place with :func:`os.replace`.  A
-    crash mid-write can therefore never leave a truncated archive at
-    ``path`` — the worst case is a stale ``.tmp`` file next to the intact
-    previous checkpoint.
+    The write is *atomic* (:func:`atomic_write`): a crash mid-write can
+    never leave a truncated archive at ``path`` — the worst case is a stale
+    ``.tmp`` file next to the intact previous checkpoint.
     """
     state = stream.to_state()
     detector = state["detector"]
@@ -168,11 +166,27 @@ def save_checkpoint(stream: StreamingCAD, path: str | Path) -> None:
     if delta is not None and delta["builder"]["members"] is not None:
         arrays["delta_members"] = np.asarray(delta["builder"]["members"], dtype=bool)
 
+    atomic_write(path, "wb", lambda handle: np.savez(handle, **arrays))
+
+
+def atomic_write(
+    path: str | Path, mode: str, write: Callable[[IO[Any]], object]
+) -> None:
+    """Durably replace ``path`` with whatever ``write`` puts in a handle.
+
+    The one crash-safe write routine behind every durable file (stream
+    archives, runtime sidecars, fleet manifests): ``write`` fills a
+    ``<path>.tmp`` sibling opened with ``mode``, which is flushed and
+    fsynced, moved into place with :func:`os.replace`, and the directory
+    entry is flushed so the rename survives power loss.  A crash mid-write
+    leaves the previous ``path`` intact; a failed write removes the staging
+    file and re-raises.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **arrays)
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            write(handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -337,9 +351,7 @@ def save_fleet_manifest(
 
     ``tenants`` maps tenant id to a JSON-safe description (at minimum the
     tenant's ``shard`` and checkpoint ``directory``, relative to the
-    manifest's parent).  Same durability contract as
-    :func:`save_checkpoint`: staged to a ``.tmp`` sibling, fsynced, moved
-    into place with :func:`os.replace`, directory entry flushed — a crash
+    manifest's parent).  Written with :func:`atomic_write`, so a crash
     mid-write leaves the previous manifest intact.
     """
     payload = {
@@ -352,18 +364,9 @@ def save_fleet_manifest(
             tenant: dict(description) for tenant, description in tenants.items()
         },
     }
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    _fsync_directory(path.parent)
+    atomic_write(
+        path, "w", lambda handle: json.dump(payload, handle, indent=2, sort_keys=True)
+    )
 
 
 def load_fleet_manifest(path: str | Path) -> dict[str, Any]:

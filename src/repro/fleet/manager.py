@@ -295,13 +295,13 @@ class FleetManager:
             )
         return rt.supervisor.submit(sample)
 
-    def ingest(self, envelope: SampleEnvelope) -> int:
+    def ingest(self, envelope: SampleEnvelope) -> None:
         """Route one timestamped envelope to its tenant's frontier.
 
         The envelope's ``tenant`` field addresses the pipeline; the empty
         default routes to the fleet's single tenant (the solo-compatible
         mode) and raises :class:`~repro.runtime.errors.UnknownTenantError`
-        in a multi-tenant fleet.  Returns the tenant's flushable-row count.
+        in a multi-tenant fleet.
         """
         tenant = envelope.tenant
         if tenant == "":
@@ -316,7 +316,7 @@ class FleetManager:
                 f"tenant {tenant!r} has no ingest frontier; feed aligned "
                 "sample rows via submit()"
             )
-        return frontier.push(envelope)
+        frontier.push(envelope)
 
     def ingest_many(self, envelopes: Iterable[SampleEnvelope]) -> None:
         """Route a batch of envelopes (any delivery order, any tenants)."""
@@ -434,7 +434,7 @@ class FleetManager:
         if supervisor.pending_samples > 0:
             return True
         frontier = supervisor.frontier
-        return frontier is not None and frontier.ready_count() > 0
+        return frontier is not None and frontier.next_emit <= frontier.watermark
 
     def _next_raw(self, rt: _TenantRuntime) -> np.ndarray | None:
         """Pop the tenant's next pending sample row (None when idle).

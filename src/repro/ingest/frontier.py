@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -189,10 +189,11 @@ class IngestFrontier:
 
     def __init__(self, config: FrontierConfig) -> None:
         self._cfg = config
-        self._pending: dict[int, np.ndarray] = {}
-        self._pending_seq: dict[int, np.ndarray] = {}
+        # Pending rows by grid position: (values, producer seq per cell).
+        self._pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._next_emit = 0
         self._max_row = -1
+        self._watermark = -1 - max(1, config.disorder_horizon)
         self.accepted = 0
         self.reordered = 0
         self.deduped = 0
@@ -213,8 +214,13 @@ class IngestFrontier:
         the newest row may still be mid-assembly (its remaining sensors'
         envelopes are in flight in any legal in-order delivery), so it can
         only flush via :meth:`drain` or once a newer row is observed.
+        Cached: it moves only with the newest observed row.
         """
-        return self._max_row - max(1, self._cfg.disorder_horizon)
+        return self._watermark
+
+    def _set_max_row(self, max_row: int) -> None:
+        self._max_row = max_row
+        self._watermark = max_row - max(1, self._cfg.disorder_horizon)
 
     @property
     def next_emit(self) -> int:
@@ -239,8 +245,8 @@ class IngestFrontier:
             )
         return pos
 
-    def push(self, envelope: SampleEnvelope) -> int:
-        """Stage one envelope; return how many rows are now flushable.
+    def push(self, envelope: SampleEnvelope) -> None:
+        """Stage one envelope; flushable rows come off :meth:`pop_ready`.
 
         Raises :class:`EnvelopeValidationError` for an out-of-range sensor
         or a pre-epoch timestamp, :class:`SequenceConflictError` when
@@ -260,45 +266,32 @@ class IngestFrontier:
         pos = self.position(envelope)
         if pos < self._next_emit:
             self.late_dropped += 1
-            return self.ready_count()
+            return
         if pos < self._max_row:
             self.reordered += 1
-        row = self._pending.get(pos)
-        if row is None:
-            row = np.full(self._cfg.n_sensors, np.nan)
-            seqs = np.full(self._cfg.n_sensors, -1, dtype=np.int64)
-            self._pending[pos] = row
-            self._pending_seq[pos] = seqs
-        else:
-            seqs = self._pending_seq[pos]
+        entry = self._pending.get(pos)
+        if entry is None:
+            entry = (
+                np.full(self._cfg.n_sensors, np.nan),
+                np.full(self._cfg.n_sensors, -1, dtype=np.int64),
+            )
+            self._pending[pos] = entry
+        row, seqs = entry
         held = int(seqs[envelope.sensor])
         if held >= 0 and self._cfg.dedup:
             if held == envelope.seq:
                 self.deduped += 1
-                return self.ready_count()
+                return
             raise SequenceConflictError(envelope.sensor, pos, held, envelope.seq)
         row[envelope.sensor] = envelope.value
         seqs[envelope.sensor] = envelope.seq
         if pos > self._max_row:
-            self._max_row = pos
+            self._set_max_row(pos)
         self.accepted += 1
-        return self.ready_count()
-
-    def extend(self, envelopes: Iterable[SampleEnvelope]) -> list[np.ndarray]:
-        """Push many envelopes, returning every row that became flushable."""
-        rows: list[np.ndarray] = []
-        for envelope in envelopes:
-            self.push(envelope)
-            rows.extend(self.ready())
-        return rows
 
     # ----------------------------------------------------------------- #
     # Flush
     # ----------------------------------------------------------------- #
-
-    def ready_count(self) -> int:
-        """Rows currently at or below the watermark, i.e. flushable now."""
-        return max(0, min(self.watermark, self._max_row) - self._next_emit + 1)
 
     def pop_ready(self) -> np.ndarray | None:
         """Flush the next row past the watermark, or None if none is due.
@@ -306,19 +299,11 @@ class IngestFrontier:
         Under ``late_policy="drop"``, incomplete rows are consumed and
         skipped internally, so a non-None return is always a complete row.
         """
-        while self._next_emit <= self.watermark:
+        while self._next_emit <= self._watermark:
             row = self._emit_next()
             if row is not None:
                 return row
         return None
-
-    def ready(self) -> Iterator[np.ndarray]:
-        """Yield flushable rows until the watermark is reached."""
-        while True:
-            row = self.pop_ready()
-            if row is None:
-                return
-            yield row
 
     def drain(self) -> Iterator[np.ndarray]:
         """Flush everything up to the newest observed row (end of stream)."""
@@ -330,12 +315,12 @@ class IngestFrontier:
     def _emit_next(self) -> np.ndarray | None:
         pos = self._next_emit
         self._next_emit = pos + 1
-        values = self._pending.pop(pos, None)
-        seqs = self._pending_seq.pop(pos, None)
-        if values is None:
+        entry = self._pending.pop(pos, None)
+        if entry is None:
             values = np.full(self._cfg.n_sensors, np.nan)
             missing = self._cfg.n_sensors
         else:
+            values, seqs = entry
             missing = int((seqs < 0).sum())
         if self._cfg.late_policy == "drop":
             if missing > 0:
@@ -373,11 +358,11 @@ class IngestFrontier:
             "counters": {name: int(getattr(self, name)) for name in _COUNTERS},
             "pending": {
                 str(pos): [None if np.isnan(v) else float(v) for v in row]
-                for pos, row in sorted(self._pending.items())
+                for pos, (row, _) in sorted(self._pending.items())
             },
             "pending_seq": {
                 str(pos): [int(s) for s in seqs]
-                for pos, seqs in sorted(self._pending_seq.items())
+                for pos, (_, seqs) in sorted(self._pending.items())
             },
         }
 
@@ -417,11 +402,16 @@ class IngestFrontier:
             raise FrontierStateError(f"malformed frontier state: {exc}") from exc
         if set(pending) != set(pending_seq):
             raise FrontierStateError("pending and pending_seq rows disagree")
-        if any(pos < next_emit for pos in pending):
-            raise FrontierStateError("pending rows behind the flush frontier")
+        if next_emit < 0 or max_row < next_emit - 1:
+            raise FrontierStateError(
+                f"impossible positions: next_emit {next_emit}, max_row {max_row}"
+            )
+        if any(not next_emit <= pos <= max_row for pos in pending):
+            raise FrontierStateError(
+                f"pending rows outside [{next_emit}, {max_row}]"
+            )
         self._next_emit = next_emit
-        self._max_row = max_row
-        self._pending = pending
-        self._pending_seq = pending_seq
+        self._set_max_row(max_row)
+        self._pending = {pos: (pending[pos], pending_seq[pos]) for pos in pending}
         for name, count in counters.items():
             setattr(self, name, count)

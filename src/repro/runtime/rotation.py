@@ -14,8 +14,9 @@ retained; older pairs are pruned after each successful write.
 The sidecar carries everything the *supervisor* (as opposed to the
 detector) accumulates — breaker states, ingest counters, emitted-round
 count — so a restarted process resumes quarantine decisions and suppresses
-already-delivered records.  Both files are written atomically (tmp +
-fsync + ``os.replace``), and :meth:`CheckpointRotation.recover` scans
+already-delivered records.  Both files are written with the one durable
+routine :func:`repro.core.checkpoint.atomic_write` (tmp + fsync +
+``os.replace`` + directory flush), and :meth:`CheckpointRotation.recover` scans
 newest-to-oldest, *falling back past* any generation whose archive or
 sidecar is corrupt instead of dying on it.
 """
@@ -23,13 +24,17 @@ sidecar is corrupt instead of dying on it.
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..core.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from ..core.checkpoint import (
+    CheckpointError,
+    atomic_write,
+    load_checkpoint,
+    save_checkpoint,
+)
 from ..core.streaming import StreamingCAD
 from .errors import ConfigurationError
 
@@ -92,7 +97,7 @@ class CheckpointRotation:
             raise ConfigurationError(f"round_index must be >= 0, got {round_index}")
         path = self.directory / f"ckpt-{round_index:010d}.npz"
         sidecar = path.with_suffix(".json")
-        save_checkpoint(stream, path)  # atomic tmp + fsync + os.replace
+        save_checkpoint(stream, path)
         payload = {
             "format": _SIDECAR_FORMAT,
             "version": _SIDECAR_VERSION,
@@ -100,23 +105,10 @@ class CheckpointRotation:
             "samples_seen": stream.samples_seen,
             "runtime": runtime_state,
         }
-        self._write_sidecar(sidecar, payload)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        atomic_write(sidecar, "w", lambda handle: handle.write(text))
         self.prune()
         return Generation(round_index, path, sidecar)
-
-    @staticmethod
-    def _write_sidecar(sidecar: Path, payload: dict[str, Any]) -> None:
-        tmp = sidecar.with_name(sidecar.name + ".tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, sidecar)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
 
     def prune(self) -> list[Generation]:
         """Delete all but the newest ``keep`` generations; return removals."""

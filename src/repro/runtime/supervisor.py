@@ -232,10 +232,10 @@ class StreamSupervisor:
         self._segment_start = 0  # absolute sample index the segment began at
         self._counted_upto = 0  # absolute sample index counted so far
 
-        # Replay buffer: raw and masked samples since the oldest retained
-        # checkpoint; entry i is absolute sample index _replay_base + i.
+        # Replay buffer: raw samples since the oldest retained checkpoint;
+        # entry i is absolute sample index _replay_base + i.  Replay
+        # re-applies the quarantine mask it re-derives round by round.
         self._replay_raw: list[np.ndarray] = []
-        self._replay_masked: list[np.ndarray] = []
         self._replay_base = 0
 
         # Emission / health bookkeeping.
@@ -374,11 +374,11 @@ class StreamSupervisor:
                 f"sample is {self._stream.samples_seen + 1}, round closes at "
                 f"{self._stream.next_round_end}"
             )
-        masked = self._masked(raw)
         self._replay_raw.append(raw)
-        self._replay_masked.append(masked)
         self._samples_ingested += 1
-        return self._guarded_round(masked, stage=stage, pipeline_state=pipeline_state)
+        return self._guarded_round(
+            self._masked(raw), stage=stage, pipeline_state=pipeline_state
+        )
 
     @property
     def pipeline_stale(self) -> bool:
@@ -582,7 +582,6 @@ class StreamSupervisor:
     def _process_raw(self, raw: np.ndarray) -> list[RoundRecord]:
         masked = self._masked(raw)
         self._replay_raw.append(raw)
-        self._replay_masked.append(masked)
         self._samples_ingested += 1
 
         if self._stream.samples_seen + 1 < self._stream.next_round_end:
@@ -772,7 +771,6 @@ class StreamSupervisor:
             return
         drop = covered - self._replay_base
         del self._replay_raw[:drop]
-        del self._replay_masked[:drop]
         self._replay_base = covered
 
     # ----------------------------------------------------------------- #
@@ -796,7 +794,6 @@ class StreamSupervisor:
         self._pipeline_stale = False
         self._replay_base = restored.stream.samples_seen
         self._replay_raw.clear()
-        self._replay_masked.clear()
         self._restore_runtime_state(restored.runtime_state, process_restart=True)
         self._last_checkpoint_round = restored.generation.round_index
         self._rounds_since_checkpoint = 0
@@ -892,20 +889,24 @@ class StreamSupervisor:
         """Re-feed replay entries ``[start, stop)`` through the detector.
 
         Pushes run in per-round chunks via ``push_many`` — the quarantine
-        mask can only change at round boundaries, and a chunked failure
-        surfaces its exact absolute sample offset via ``PushError.index``.
-        Emission is naturally suppressed (all replayed rounds are at or
-        below the emitted high-water mark), while breaker/NaN accounting is
-        re-derived so post-recovery state matches the pre-failure state.
+        mask can only change at round boundaries, so masking each raw chunk
+        with the mask re-derived so far reproduces exactly what the chunk
+        was first fed; a chunked failure surfaces its exact absolute sample
+        offset via ``PushError.index``.  Emission is naturally suppressed
+        (all replayed rounds are at or below the emitted high-water mark),
+        while breaker/NaN accounting is re-derived so post-recovery state
+        matches the pre-failure state.
         """
         i = start
         while i < stop:
             take = min(
                 stop - i, self._stream.next_round_end - self._stream.samples_seen
             )
-            masked_block = np.column_stack(self._replay_masked[i : i + take])
+            block = np.column_stack(self._replay_raw[i : i + take])
+            if self._mask_any:
+                block[self._mask] = np.nan
             try:
-                records = self._stream.push_many(masked_block)
+                records = self._stream.push_many(block)
             except PushError as exc:
                 raise RecoveryError(
                     "replay failed at absolute sample "

@@ -52,18 +52,29 @@ def baseline(feed):
     return stream.push_many(live)
 
 
+def pop_all_ready(frontier):
+    """Pop rows off the frontier until none is past the watermark."""
+    rows = []
+    while (row := frontier.pop_ready()) is not None:
+        rows.append(row)
+    return rows
+
+
+def push_all(frontier, envelopes):
+    """Push envelopes one at a time; return every row that became flushable."""
+    rows = []
+    for envelope in envelopes:
+        frontier.push(envelope)
+        rows.extend(pop_all_ready(frontier))
+    return rows
+
+
 def frontier_records(history, envelopes, frontier):
     """Feed envelopes through a frontier into a fresh StreamingCAD."""
     stream = StreamingCAD(CONFIG, frontier.config.n_sensors)
     stream.warm_up(history)
     records = []
-    for envelope in envelopes:
-        frontier.push(envelope)
-        while (row := frontier.pop_ready()) is not None:
-            record = stream.push(row)
-            if record is not None:
-                records.append(record)
-    for row in frontier.drain():
+    for row in push_all(frontier, envelopes) + list(frontier.drain()):
         record = stream.push(row)
         if record is not None:
             records.append(record)
@@ -134,7 +145,7 @@ class TestFrontierBasics:
     def test_clean_in_order_passthrough(self):
         values = np.arange(12.0).reshape(3, 4)
         frontier = IngestFrontier(FrontierConfig(n_sensors=3, disorder_horizon=2))
-        rows = frontier.extend(envelopes_from_matrix(values))
+        rows = push_all(frontier, envelopes_from_matrix(values))
         rows.extend(frontier.drain())
         assert np.array_equal(np.column_stack(rows), values)
         stats = frontier.stats()
@@ -180,7 +191,7 @@ class TestFrontierBasics:
         # Horizon wider than the stream: every redelivery hits a still-
         # pending row and must dedup (flushed rows would count late instead).
         frontier = IngestFrontier(FrontierConfig(n_sensors=2, disorder_horizon=8))
-        rows = frontier.extend(envelopes + envelopes[2:5])
+        rows = push_all(frontier, envelopes + envelopes[2:5])
         rows.extend(frontier.drain())
         assert np.array_equal(np.column_stack(rows), values)
         assert frontier.stats().deduped == 3
@@ -208,7 +219,7 @@ class TestFrontierBasics:
     def test_late_envelope_is_counted_not_raised(self):
         values = np.arange(10.0).reshape(1, 10)
         frontier = IngestFrontier(FrontierConfig(n_sensors=1, disorder_horizon=2))
-        frontier.extend(envelopes_from_matrix(values))
+        push_all(frontier, envelopes_from_matrix(values))
         flushed = frontier.next_emit
         assert flushed > 0
         frontier.push(
@@ -258,7 +269,7 @@ class TestLatePolicies:
     def test_nan_patch_preserves_the_grid(self):
         values = np.arange(20.0).reshape(2, 10)
         frontier = IngestFrontier(FrontierConfig(n_sensors=2, disorder_horizon=2))
-        rows = frontier.extend(self._delayed_beyond_horizon(values))
+        rows = push_all(frontier, self._delayed_beyond_horizon(values))
         rows.extend(frontier.drain())
         out = np.column_stack(rows)
         assert out.shape == values.shape
@@ -275,7 +286,7 @@ class TestLatePolicies:
         frontier = IngestFrontier(
             FrontierConfig(n_sensors=2, disorder_horizon=2, late_policy="drop")
         )
-        rows = frontier.extend(self._delayed_beyond_horizon(values))
+        rows = push_all(frontier, self._delayed_beyond_horizon(values))
         rows.extend(frontier.drain())
         out = np.column_stack(rows)
         assert out.shape == (2, 9)
@@ -353,8 +364,7 @@ class TestStateRoundtrip:
         envelopes = list(envelopes_from_matrix(values))
         for envelope in envelopes[:17]:  # mid-row cut: row 5 half-assembled
             frontier.push(envelope)
-        while frontier.pop_ready() is not None:
-            pass
+        pop_all_ready(frontier)
         return frontier, envelopes, values
 
     def test_state_survives_json_and_resumes_identically(self):
@@ -365,10 +375,24 @@ class TestStateRoundtrip:
         assert resumed.next_emit == frontier.next_emit
         assert resumed.stats() == frontier.stats()
         # Re-send the whole stream: flushed rows late-drop, pending dedup.
-        rows = resumed.extend(envelopes)
+        rows = push_all(resumed, envelopes)
         rows.extend(resumed.drain())
         emitted = np.column_stack(rows)
         assert np.array_equal(emitted, values[:, frontier.next_emit :])
+
+    def test_resumed_watermark_flushes_without_new_envelopes(self):
+        values = np.arange(30.0).reshape(3, 10)
+        frontier = IngestFrontier(FrontierConfig(n_sensors=3, disorder_horizon=4))
+        for envelope in list(envelopes_from_matrix(values))[:17]:
+            frontier.push(envelope)
+        resumed = IngestFrontier(FrontierConfig(n_sensors=3, disorder_horizon=4))
+        resumed.restore_state(json.loads(json.dumps(frontier.to_state())))
+        assert resumed.watermark == frontier.watermark
+        expected = pop_all_ready(frontier)
+        assert len(expected) == 2, "rows 0 and 1 are past the watermark"
+        flushed = pop_all_ready(resumed)
+        assert len(flushed) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(flushed, expected))
 
     def test_nan_cells_roundtrip_as_null(self):
         frontier = IngestFrontier(FrontierConfig(n_sensors=2, disorder_horizon=4))
@@ -388,7 +412,11 @@ class TestStateRoundtrip:
             lambda s: {**s, "next_emit": "soon"},
             lambda s: {**s, "pending": {"0": [1.0]}},  # wrong width
             lambda s: {**s, "pending_seq": {}},  # disagrees with pending
-            lambda s: {**s, "next_emit": 10_000},  # pending behind frontier
+            lambda s: {**s, "next_emit": 10_000},  # frontier past the newest row
+            lambda s: {**s, "next_emit": 3},  # one pending row behind frontier
+            lambda s: {**s, "next_emit": -3},  # before the grid origin
+            lambda s: {**s, "max_row": 0},  # newest row behind the frontier
+            lambda s: {**s, "max_row": 4},  # pending row past the newest row
         ],
     )
     def test_malformed_state_raises_typed_error(self, corrupt):
@@ -605,7 +633,7 @@ def test_any_delivery_within_horizon_is_bit_identical(delay_seed, duplicate_ever
     target = StreamingCAD(config, 4)
     target.warm_up(history)
     records = []
-    for row in frontier.extend(shuffled):
+    for row in push_all(frontier, shuffled):
         record = target.push(row)
         if record is not None:
             records.append(record)

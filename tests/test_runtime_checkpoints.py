@@ -6,6 +6,7 @@ import pytest
 
 from tests.conftest import correlated_values
 from repro.core import CADConfig, CheckpointError, StreamingCAD
+from repro.core import checkpoint
 from repro.runtime import ChaosModel, CheckpointRotation
 
 
@@ -34,6 +35,19 @@ class TestWrite:
         rotation = CheckpointRotation(tmp_path, keep=2)
         rotation.write(stream, 12, {})
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_every_rename_reaches_the_directory(self, stream, tmp_path, monkeypatch):
+        sidecar = tmp_path / "ckpt-0000000012.json"
+        flushes = []
+        fsync_directory = checkpoint._fsync_directory
+
+        def recording(directory):
+            flushes.append(sidecar.exists())
+            fsync_directory(directory)
+
+        monkeypatch.setattr(checkpoint, "_fsync_directory", recording)
+        CheckpointRotation(tmp_path, keep=2).write(stream, 12, {})
+        assert flushes and flushes[-1], "the sidecar rename must be flushed"
 
     def test_prune_keeps_newest(self, stream, tmp_path):
         rotation = CheckpointRotation(tmp_path, keep=2)

@@ -275,6 +275,38 @@ class TestQuarantine:
         assert records[:clean_prefix] == baseline[:clean_prefix]
         assert health.degraded_rounds > 0
 
+    def test_crash_recovery_replays_with_an_open_breaker(self, feed, tmp_path):
+        """Replay must re-apply the quarantine mask it re-derives."""
+        history, live = feed
+        step = CONFIG.step
+        flap_start = 30 * step + CONFIG.window
+        faults = FaultModel(
+            flapping=((2, flap_start, flap_start + 20 * step, step, 0.75),), seed=1
+        )
+        flapped = faults.apply(live)
+        sup_config = SupervisorConfig(
+            breaker=BreakerPolicy(
+                failure_threshold=3, open_rounds=6, probation_rounds=3
+            ),
+            checkpoint_every=4,
+        )
+        plain = make_supervisor(sup_config)
+        plain.warm_up(history)
+        expected = plain.process_many(flapped)
+
+        supervisor = make_supervisor(
+            sup_config,
+            checkpoint_dir=tmp_path,
+            clock=VirtualClock(),
+            chaos=ChaosModel(seed=5, crash_rate=0.15),
+        )
+        supervisor.warm_up(history)
+        records = supervisor.process_many(flapped)
+        health = supervisor.health()
+        assert health.crashes_recovered > 0
+        assert health.breaker_trips > 0
+        assert records == expected
+
     def test_quarantined_rounds_report_degraded_quality(self, feed):
         history, live = feed
         live = live.copy()
