@@ -23,26 +23,18 @@ R14       typed raises in runtime/ingest (whole-program)
 ========  ==========================================================
 
 R1–R10 are per-file checks; R11–R14 run against a project-wide module
-index and resolved call graph (see DESIGN.md §11), with per-file facts
-cached content-addressed for incremental runs (``--cache-dir``) and a
-SARIF 2.1.0 emitter for code-scanning UIs (``--sarif-out``).
+index and resolved call graph (see DESIGN.md §11), and a SARIF 2.1.0
+emitter serves code-scanning UIs (``--sarif-out``).
 
-Run ``python -m repro.analysis src/repro tests benchmarks``; suppress a
-single finding with ``# repro: noqa[R1] <reason>``; grandfather existing
-findings in ``.repro-analysis-baseline.json`` (stale entries fail the run).
-See DESIGN.md, section "Enforced invariants", for the rule-by-rule mapping
-to the paper/PR guarantees.
+Run ``python -m repro.analysis src/repro tests benchmarks examples``; every
+run is one cold pass over every file.  The only way to silence a finding
+is ``# repro: noqa[R1] <reason>`` on its line.  See DESIGN.md, section
+"Enforced invariants", for the rule-by-rule mapping to the paper/PR
+guarantees.
 """
 
 from __future__ import annotations
 
-from .baseline import (
-    BaselineEntry,
-    BaselineResult,
-    apply_baseline,
-    load_baseline,
-    save_baseline,
-)
 from .engine import (
     AnalysisReport,
     ParseFailure,
@@ -57,17 +49,12 @@ __all__ = [
     "ALL_RULES",
     "RULES_BY_ID",
     "AnalysisReport",
-    "BaselineEntry",
-    "BaselineResult",
     "FileContext",
     "ParseFailure",
     "Rule",
     "Violation",
     "analyze_paths",
     "analyze_source",
-    "apply_baseline",
     "collect_files",
-    "load_baseline",
     "parse_pragmas",
-    "save_baseline",
 ]

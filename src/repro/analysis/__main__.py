@@ -2,15 +2,16 @@
 
 Usage::
 
-    python -m repro.analysis src/repro tests benchmarks
+    python -m repro.analysis src/repro tests benchmarks examples
     python -m repro.analysis src/repro --format json
     python -m repro.analysis src/repro --format sarif > findings.sarif
-    python -m repro.analysis src/repro --cache-dir .repro-analysis-cache
-    python -m repro.analysis src/repro --update-baseline   # grandfather
     python -m repro.analysis --list-rules
 
-Exit codes: 0 clean, 1 findings (new violations, stale baseline entries or
-parse failures), 2 usage errors.
+Every run is one cold pass over every target file; the only way to
+silence a finding is a ``# repro: noqa[...]`` pragma on its line.
+
+Exit codes: 0 clean, 1 findings (violations or parse failures), 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -21,13 +22,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    save_baseline,
-)
-from .cache import AnalysisCache
 from .engine import analyze_paths
 from .rules import ALL_RULES
 from .sarif import sarif_report
@@ -45,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "targets",
         nargs="*",
-        help="files or directories to lint (default: src/repro tests benchmarks)",
+        help="files or directories to lint "
+        "(default: src/repro tests benchmarks examples)",
     )
     parser.add_argument(
         "--format",
@@ -61,38 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "(independent of --format)",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="incremental-analysis cache directory; unchanged files skip "
-        "parsing and rule execution entirely",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=(
-            "baseline file for grandfathered findings "
-            f"(default: ./{DEFAULT_BASELINE_NAME} when present)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file with the current findings and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every rule id, title and rationale, then exit",
     )
     return parser
-
-
-def _resolve_baseline_path(arg: str | None) -> Path | None:
-    if arg is not None:
-        return Path(arg)
-    default = Path(DEFAULT_BASELINE_NAME)
-    return default if default.exists() else None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -105,46 +73,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"    {rule.rationale}")
         return 0
 
-    targets = options.targets or ["src/repro", "tests", "benchmarks"]
+    targets = options.targets or ["src/repro", "tests", "benchmarks", "examples"]
     missing = [t for t in targets if not Path(t).exists()]
     if missing:
         parser.error(f"no such file or directory: {', '.join(missing)}")
 
-    cache = (
-        AnalysisCache(options.cache_dir, ALL_RULES)
-        if options.cache_dir is not None
-        else None
-    )
-    report = analyze_paths(targets, cache=cache)
-
-    baseline_path = (
-        Path(options.baseline)
-        if options.update_baseline and options.baseline is not None
-        else _resolve_baseline_path(options.baseline)
-    )
-    if options.update_baseline:
-        if baseline_path is None:
-            baseline_path = Path(DEFAULT_BASELINE_NAME)
-        save_baseline(baseline_path, report.violations)
-        print(
-            f"wrote {len(report.violations)} baseline entries to {baseline_path}"
-        )
-        return 0
-
-    entries = load_baseline(baseline_path) if baseline_path is not None else []
-    result = apply_baseline(report.violations, entries)
-
-    failed = bool(
-        result.new_violations or result.stale_entries or report.parse_failures
-    )
+    report = analyze_paths(targets)
+    failed = bool(report.violations or report.parse_failures)
 
     if options.sarif_out is not None or options.format == "sarif":
-        sarif = sarif_report(
-            result.new_violations,
-            result.grandfathered,
-            report.parse_failures,
-            ALL_RULES,
-        )
+        sarif = sarif_report(report.violations, report.parse_failures, ALL_RULES)
         rendered = json.dumps(sarif, indent=2, sort_keys=True)
         if options.sarif_out is not None:
             Path(options.sarif_out).write_text(
@@ -157,20 +95,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if options.format == "json":
         payload = {
             "checked_files": report.checked_files,
-            "violations": [v.to_json() for v in result.new_violations],
-            "grandfathered": [v.to_json() for v in result.grandfathered],
-            "stale_baseline_entries": [e.to_json() for e in result.stale_entries],
+            "violations": [v.to_json() for v in report.violations],
             "parse_failures": [
                 {"path": f.path, "line": f.line, "message": f.message}
                 for f in report.parse_failures
             ],
             "suppressed": report.suppressed,
-            "cache": {
-                "enabled": cache is not None,
-                "hits": report.cache_hits,
-                "misses": report.cache_misses,
-                "project_from_cache": report.project_from_cache,
-            },
             "ok": not failed,
         }
         print(json.dumps(payload, indent=2))
@@ -178,25 +108,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     for failure in report.parse_failures:
         print(failure.render())
-    for violation in result.new_violations:
+    for violation in report.violations:
         print(violation.render())
-    for entry in result.stale_entries:
-        print(
-            f"{entry.path}: STALE baseline entry for {entry.rule} "
-            f"({entry.source!r} no longer matches a violation — remove it)"
-        )
-    summary = (
+    print(
         f"{report.checked_files} files checked, "
-        f"{len(result.new_violations)} violations, "
-        f"{len(result.grandfathered)} grandfathered, "
-        f"{len(result.stale_entries)} stale baseline entries, "
+        f"{len(report.violations)} violations, "
         f"{report.suppressed} suppressed by pragma"
     )
-    if cache is not None:
-        summary += (
-            f" (cache: {report.cache_hits} hits, {report.cache_misses} misses)"
-        )
-    print(summary)
     return 1 if failed else 0
 
 

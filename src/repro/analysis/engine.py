@@ -4,18 +4,16 @@ The engine is intentionally free of third-party dependencies: ``ast`` +
 ``tokenize`` + ``re`` over the files named on the command line.  Suppression
 is explicit and local — a ``# repro: noqa[R1]`` pragma on the offending line
 (optionally listing several rule ids, optionally followed by a
-justification) — and grandfathering lives in a reviewed baseline file,
-never in the code.
+justification) — is the only way to silence a finding, so every exemption
+is visible and reviewed in the diff that adds it.
 
-Analysis runs in two phases.  The **file phase** parses each file and runs
-the per-file rules exactly as before; it also collects each rule's
-JSON-safe per-file summary plus a generic module summary (imports, defs,
-classes).  The **project phase** assembles those summaries into a
+Every run is one cold pass in two phases.  The **file phase** parses each
+file once and runs the per-file rules; it also collects each rule's
+per-file summary plus a generic module summary (imports, defs, classes).
+The **project phase** assembles those summaries into a
 :class:`~repro.analysis.project.ProjectContext` with a resolved call graph
-and runs every rule's ``check_project`` once.  Both phases are pure
-functions of file contents + rule set, which is what makes the incremental
-cache (:mod:`repro.analysis.cache`) sound: per-file records are keyed by
-content hash, the project result by a digest over every hash.
+and runs every rule's ``check_project`` once.  Nothing is carried between
+runs, so an edited rule is always checked against every file.
 """
 
 from __future__ import annotations
@@ -28,14 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .cache import AnalysisCache, content_hash, project_digest, ruleset_signature
-from .project import (
-    build_project,
-    import_graph,
-    load_docs,
-    module_name_for,
-    summarize_module,
-)
+from .project import build_project, load_docs, module_name_for, summarize_module
 from .rules import ALL_RULES, FileContext, Rule, Violation
 
 #: ``# repro: noqa`` (all rules) or ``# repro: noqa[R1,R5] reason...``.
@@ -58,15 +49,13 @@ class ParseFailure:
 
 @dataclass
 class AnalysisReport:
-    """Everything one run produced, before baseline filtering."""
+    """Everything one run produced: findings left after pragmas, the count
+    pragmas suppressed, and the files that could not be parsed."""
 
     violations: list[Violation] = field(default_factory=list)
     suppressed: int = 0
     parse_failures: list[ParseFailure] = field(default_factory=list)
     checked_files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    project_from_cache: bool = False
 
 
 def _merge_pragma(
@@ -175,6 +164,18 @@ def build_context(path: Path, source: str, relpath: str | None = None) -> FileCo
     )
 
 
+def _record(
+    violation: Violation,
+    pragmas: dict[int, frozenset[str] | None],
+    report: AnalysisReport,
+) -> None:
+    """Count ``violation`` as suppressed by pragma or keep it in ``report``."""
+    if is_suppressed(violation, pragmas):
+        report.suppressed += 1
+    else:
+        report.violations.append(violation)
+
+
 def analyze_source(
     source: str, relpath: str, rules: Sequence[Rule] = ALL_RULES
 ) -> list[Violation]:
@@ -184,81 +185,12 @@ def analyze_source(
     """
     ctx = build_context(Path(relpath), source, relpath)
     pragmas = parse_pragmas_source(source)
-    found: list[Violation] = []
+    report = AnalysisReport()
     for rule in rules:
-        if not rule.applies(ctx):
-            continue
-        for violation in rule.check(ctx):
-            if not is_suppressed(violation, pragmas):
-                found.append(violation)
-    return sorted(found)
-
-
-def _build_record(
-    path: Path, source: str, relpath: str, rules: Sequence[Rule]
-) -> dict[str, Any]:
-    """File-phase artefact for one file: violations, pragmas, summaries.
-
-    Everything in the record is JSON-serialisable so the cache can persist
-    it verbatim; cold and warm runs reconstruct identical state from it.
-    """
-    module, is_package = module_name_for(path)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as error:
-        return {
-            "parse_failure": {
-                "line": error.lineno or 1,
-                "message": error.msg or "syntax error",
-            }
-        }
-    ctx = FileContext(
-        relpath=relpath, source=source, tree=tree, lines=source.splitlines()
-    )
-    pragmas = parse_pragmas_source(source)
-    violations: list[Violation] = []
-    suppressed = 0
-    facts: dict[str, Any] = {}
-    for rule in rules:
-        if not rule.applies(ctx):
-            continue
-        for violation in rule.check(ctx):
-            if is_suppressed(violation, pragmas):
-                suppressed += 1
-            else:
-                violations.append(violation)
-        payload = rule.summarize(ctx)
-        if payload is not None:
-            facts[rule.rule_id] = payload
-    return {
-        "parse_failure": None,
-        "violations": [v.to_json() for v in sorted(violations)],
-        "suppressed": suppressed,
-        "pragmas": {
-            str(line): (None if codes is None else sorted(codes))
-            for line, codes in pragmas.items()
-        },
-        "summary": summarize_module(tree, module, is_package),
-        "facts": facts,
-    }
-
-
-def _record_pragmas(
-    record: dict[str, Any] | None,
-) -> dict[int, frozenset[str] | None]:
-    if not record:
-        return {}
-    return {
-        int(line): (None if codes is None else frozenset(codes))
-        for line, codes in (record.get("pragmas") or {}).items()
-    }
-
-
-def _file_key(source: str, module: str | None) -> str:
-    # The module name feeds the summaries, so it is part of the key: adding
-    # or removing a neighbouring __init__.py invalidates the record even
-    # though the file's own bytes did not change.
-    return content_hash(source + "\x00" + (module or "<script>"))
+        if rule.applies(ctx):
+            for violation in rule.check(ctx):
+                _record(violation, pragmas, report)
+    return sorted(report.violations)
 
 
 def analyze_paths(
@@ -266,20 +198,17 @@ def analyze_paths(
     rules: Sequence[Rule] = ALL_RULES,
     *,
     root: str | Path | None = None,
-    cache: AnalysisCache | None = None,
 ) -> AnalysisReport:
     """Lint every file under ``targets`` and aggregate the findings.
 
     ``root`` anchors doc-file lookup for the drift rules (default: the
-    current directory).  Passing an :class:`AnalysisCache` makes the run
-    incremental; the cache is saved before returning.
+    current directory).  Every call is one cold pass over every file.
     """
     report = AnalysisReport()
-    root_path = Path(root) if root is not None else Path(".")
-
-    records: dict[str, dict[str, Any]] = {}
-    hashes: dict[str, str] = {}
+    summaries: dict[str, dict[str, Any]] = {}
     lines_by_file: dict[str, list[str]] = {}
+    facts: dict[str, dict[str, Any]] = {"__lines__": lines_by_file}
+    pragmas_by_file: dict[str, dict[int, frozenset[str] | None]] = {}
 
     for path in collect_files(targets):
         relpath = path.as_posix()
@@ -290,75 +219,34 @@ def analyze_paths(
                 ParseFailure(relpath, 1, f"unreadable file: {error}")
             )
             continue
-        module, _ = module_name_for(path)
-        digest = _file_key(source, module)
-        record = cache.lookup(relpath, digest) if cache is not None else None
-        if record is None:
-            record = _build_record(path, source, relpath, rules)
-            if cache is not None:
-                cache.store(relpath, digest, record)
-        failure = record.get("parse_failure")
-        if failure is not None:
+        try:
+            ctx = build_context(path, source, relpath)
+        except SyntaxError as error:
             report.parse_failures.append(
-                ParseFailure(relpath, failure["line"], failure["message"])
+                ParseFailure(
+                    relpath, error.lineno or 1, error.msg or "syntax error"
+                )
             )
             continue
         report.checked_files += 1
-        report.suppressed += record["suppressed"]
-        report.violations.extend(
-            Violation.from_json(v) for v in record["violations"]
-        )
-        records[relpath] = record
-        hashes[relpath] = digest
-        lines_by_file[relpath] = source.splitlines()
-
-    docs = load_docs(root_path)
-    digest = project_digest(ruleset_signature(rules), hashes, docs)
-    cached_project = (
-        cache.lookup_project(digest) if cache is not None else None
-    )
-    if cached_project is not None:
-        report.project_from_cache = True
-        report.suppressed += cached_project["suppressed"]
-        report.violations.extend(
-            Violation.from_json(v) for v in cached_project["violations"]
-        )
-    else:
-        summaries = {
-            relpath: record["summary"] for relpath, record in records.items()
-        }
-        facts: dict[str, dict[str, Any]] = {"__lines__": lines_by_file}
-        for relpath, record in records.items():
-            for rule_id, payload in (record.get("facts") or {}).items():
-                facts.setdefault(rule_id, {})[relpath] = payload
-        project = build_project(summaries, docs, facts)
-        kept: list[Violation] = []
-        suppressed = 0
+        pragmas = parse_pragmas_source(source)
         for rule in rules:
-            for violation in rule.check_project(project):
-                pragmas = _record_pragmas(records.get(violation.path))
-                if is_suppressed(violation, pragmas):
-                    suppressed += 1
-                else:
-                    kept.append(violation)
-        kept.sort()
-        report.suppressed += suppressed
-        report.violations.extend(kept)
-        if cache is not None:
-            cache.store_project(
-                digest,
-                {
-                    "violations": [v.to_json() for v in kept],
-                    "suppressed": suppressed,
-                },
-                import_graph(summaries),
-            )
+            if not rule.applies(ctx):
+                continue
+            for violation in rule.check(ctx):
+                _record(violation, pragmas, report)
+            payload = rule.summarize(ctx)
+            if payload is not None:
+                facts.setdefault(rule.rule_id, {})[relpath] = payload
+        module, is_package = module_name_for(path)
+        summaries[relpath] = summarize_module(ctx.tree, module, is_package)
+        lines_by_file[relpath] = ctx.lines
+        pragmas_by_file[relpath] = pragmas
 
-    if cache is not None:
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
-        cache.prune(hashes)
-        cache.save()
-
+    root_path = Path(root) if root is not None else Path(".")
+    project = build_project(summaries, load_docs(root_path), facts)
+    for rule in rules:
+        for violation in rule.check_project(project):
+            _record(violation, pragmas_by_file.get(violation.path, {}), report)
     report.violations.sort()
     return report

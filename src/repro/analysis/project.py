@@ -6,19 +6,15 @@ dotted module each file is, what every ``import`` resolves to, which
 functions and classes each module defines, and who calls whom.  This module
 builds that index from nothing but the stdlib ``ast`` — no imports are
 executed, so analysing a broken or dependency-missing tree is always safe.
-
-Everything produced here is JSON-serialisable on purpose: the incremental
-cache (:mod:`repro.analysis.cache`) persists per-file summaries keyed by
-content hash, so a warm run reconstructs the whole-program view without
-re-parsing a single unchanged file.
+The engine rebuilds it from scratch on every run.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
-from typing import Any, Iterable
+from pathlib import Path
+from typing import Any
 
 #: Doc files the drift rules (R13) read, looked up under the project root.
 DOC_FILENAMES = ("README.md", "DESIGN.md")
@@ -95,10 +91,9 @@ def summarize_module(
 ) -> dict[str, Any]:
     """The generic per-file summary every project rule builds on.
 
-    JSON-safe by construction (the cache persists it verbatim): imports
-    resolved to absolute dotted targets, top-level functions and methods
-    with their raw call lists, classes with bases/decorators/dataclass
-    fields, and the names of nested (closure) functions.
+    Imports resolved to absolute dotted targets, top-level functions and
+    methods with their raw call lists, classes with bases/decorators/
+    dataclass fields, and the names of nested (closure) functions.
     """
     imports: dict[str, str] = {}
     imported_modules: list[str] = []
@@ -300,31 +295,6 @@ def load_docs(root: Path) -> dict[str, str]:
     return docs
 
 
-def import_graph(summaries: dict[str, dict[str, Any]]) -> dict[str, list[str]]:
-    """relpath -> sorted relpaths it imports (project-internal edges only)."""
-    by_module = {
-        s["module"]: rel for rel, s in summaries.items() if s.get("module")
-    }
-    graph: dict[str, list[str]] = {}
-    for relpath, summary in summaries.items():
-        targets: set[str] = set()
-        candidates: Iterable[str] = (
-            *summary["imports"].values(),
-            *summary["imported_modules"],
-        )
-        for dotted in candidates:
-            parts = dotted.split(".")
-            for cut in range(len(parts), 0, -1):
-                prefix = ".".join(parts[:cut])
-                found = by_module.get(prefix)
-                if found is not None:
-                    if found != relpath:
-                        targets.add(found)
-                    break
-        graph[relpath] = sorted(targets)
-    return graph
-
-
 def build_project(
     summaries: dict[str, dict[str, Any]],
     docs: dict[str, str],
@@ -336,7 +306,3 @@ def build_project(
     project = ProjectContext(summaries=summaries, docs=docs, facts=facts)
     project.callgraph = CallGraph.build(project)
     return project
-
-
-def relpath_posix(path: Path | str) -> str:
-    return PurePosixPath(Path(path).as_posix()).as_posix()

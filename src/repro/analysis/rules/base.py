@@ -42,17 +42,6 @@ class Violation:
             "source": self.source,
         }
 
-    @classmethod
-    def from_json(cls, payload: dict[str, Any]) -> "Violation":
-        return cls(
-            path=payload["path"],
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            rule=payload["rule"],
-            message=payload["message"],
-            source=payload.get("source", ""),
-        )
-
 
 @dataclass
 class FileContext:
@@ -97,8 +86,8 @@ class Rule:
     """Base class for one lint rule (see ``repro.analysis.rules``).
 
     File rules implement ``check(ctx)``.  Rules that need the whole-program
-    view additionally implement ``summarize(ctx)`` (a JSON-safe per-file
-    fact payload the engine caches by content hash) and
+    view additionally implement ``summarize(ctx)`` (a per-file fact payload
+    the engine hands to the project phase) and
     ``check_project(project)`` (run once per analysis over the assembled
     :class:`~repro.analysis.project.ProjectContext`).
     """
@@ -114,7 +103,7 @@ class Rule:
         raise NotImplementedError
 
     def summarize(self, ctx: FileContext) -> Any | None:
-        """Per-file facts for ``check_project``; must be JSON-serialisable.
+        """Per-file facts for ``check_project``, built in the same pass.
 
         Returning ``None`` (the default) stores nothing for this file.
         """

@@ -2,9 +2,8 @@
 
 One ``run`` from the ``repro.analysis`` driver: every rule in the registry
 is described under ``tool.driver.rules`` (so viewers can show titles and
-rationale), new violations surface as ``error`` results, baselined
-(grandfathered) findings are emitted as ``note`` results carrying an
-external suppression, and parse failures get the synthetic ``PARSE`` rule.
+rationale), violations surface as ``error`` results, and parse failures get
+the synthetic ``PARSE`` rule.  Pragma-suppressed findings are not emitted.
 Output ordering is deterministic — same tree, same bytes.
 """
 
@@ -52,29 +51,19 @@ def _location(path: str, line: int, col: int) -> dict[str, Any]:
     }
 
 
-def _result(violation: Violation, *, suppressed: bool) -> dict[str, Any]:
-    result: dict[str, Any] = {
+def _result(violation: Violation) -> dict[str, Any]:
+    return {
         "ruleId": violation.rule,
-        "level": "note" if suppressed else "error",
+        "level": "error",
         "message": {"text": violation.message},
         "locations": [
             _location(violation.path, violation.line, violation.col)
         ],
     }
-    if suppressed:
-        result["suppressions"] = [
-            {
-                "kind": "external",
-                "justification": "grandfathered by the reviewed baseline "
-                "(shrink-only)",
-            }
-        ]
-    return result
 
 
 def sarif_report(
-    new_violations: Sequence[Violation],
-    grandfathered: Sequence[Violation],
+    violations: Sequence[Violation],
     parse_failures: Sequence[ParseFailure],
     rules: Iterable[Any],
 ) -> dict[str, Any]:
@@ -91,10 +80,7 @@ def sarif_report(
                 "locations": [_location(failure.path, failure.line, 1)],
             }
         )
-    for violation in sorted(new_violations):
-        results.append(_result(violation, suppressed=False))
-    for violation in sorted(grandfathered):
-        results.append(_result(violation, suppressed=True))
+    results.extend(_result(violation) for violation in sorted(violations))
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,

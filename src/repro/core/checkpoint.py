@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import tokenize
 import zipfile
 from pathlib import Path
 from typing import IO, Any, Callable, Mapping
@@ -230,10 +231,23 @@ def load_checkpoint(path: str | Path) -> StreamingCAD:
         return _read_checkpoint(path)
     except CheckpointError:
         raise
-    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        # np.load raises BadZipFile/OSError/EOFError on truncation, KeyError
-        # on missing archive members, ValueError/JSONDecodeError on mangled
-        # metadata; from_state raises ValueError on shape mismatches.
+    except (
+        OSError,
+        EOFError,
+        KeyError,
+        ValueError,
+        TypeError,
+        OverflowError,
+        NotImplementedError,
+        tokenize.TokenError,
+        zipfile.BadZipFile,
+    ) as exc:
+        # np.load raises BadZipFile/OSError/EOFError on truncation,
+        # NotImplementedError on a mangled zip compression method, KeyError
+        # on missing archive members, and ValueError or TokenError on a
+        # mangled .npy header; JSONDecodeError (a ValueError) covers mangled
+        # metadata, and mistyped or absurd metadata fields raise
+        # TypeError/ValueError/OverflowError from the state rebuild.
         raise CheckpointError(path, f"corrupt or invalid checkpoint ({exc})") from exc
 
 
@@ -242,6 +256,10 @@ def _read_checkpoint(path: str | Path) -> StreamingCAD:
         if "meta" not in archive:
             raise CheckpointError(path, "not a StreamingCAD checkpoint (no meta entry)")
         meta = json.loads(str(archive["meta"]))
+        if not isinstance(meta, dict):
+            raise CheckpointError(
+                path, "not a StreamingCAD checkpoint (meta is not an object)"
+            )
         if meta.get("format") != _FORMAT:
             raise CheckpointError(
                 path,

@@ -155,7 +155,7 @@ class CheckpointRotation:
         for generation in self.generations():
             payload = self._read_sidecar(generation.sidecar)
             if payload is not None:
-                counts.append(int(payload["samples_seen"]))
+                counts.append(payload["samples_seen"])
         return min(counts) if counts else 0
 
     def recover(self) -> RecoveredStream | None:
@@ -177,7 +177,7 @@ class CheckpointRotation:
                 # generation — exactly why more than one is retained.
                 skipped.append(generation.path)
                 continue
-            if stream.samples_seen != int(payload["samples_seen"]):
+            if stream.samples_seen != payload["samples_seen"]:
                 skipped.append(generation.path)
                 continue
             return RecoveredStream(
@@ -190,11 +190,18 @@ class CheckpointRotation:
 
     @staticmethod
     def _read_sidecar(sidecar: Path) -> dict[str, Any] | None:
-        """Parse and validate a sidecar; None when missing or corrupt."""
+        """Parse and validate a sidecar; None when missing or corrupt.
+
+        Corrupt includes well-formed JSON with mistyped fields: a
+        ``samples_seen`` that is not a non-negative int or a ``runtime``
+        that is not an object marks the generation unreadable, so recovery
+        falls back past it instead of raising.
+        """
         try:
             with open(sidecar, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
+            # ValueError covers mangled JSON and bytes that are not UTF-8.
             return None
         if not isinstance(payload, dict):
             return None
@@ -202,6 +209,9 @@ class CheckpointRotation:
             return None
         if payload.get("version") != _SIDECAR_VERSION:
             return None
-        if "samples_seen" not in payload or "runtime" not in payload:
+        samples_seen = payload.get("samples_seen")
+        if not isinstance(samples_seen, int) or samples_seen < 0:
+            return None
+        if not isinstance(payload.get("runtime"), dict):
             return None
         return payload

@@ -1,6 +1,6 @@
-"""End-to-end tests for the repro.analysis CLI, baseline mechanics, and the
-acceptance scenario: deliberately breaking a determinism invariant in the
-real tree must fail the lint gate."""
+"""End-to-end tests for the repro.analysis CLI and the acceptance scenario:
+deliberately breaking a determinism invariant in the real tree must fail
+the lint gate."""
 
 import json
 import shutil
@@ -10,14 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_paths, apply_baseline
-from repro.analysis.baseline import (
-    BaselineEntry,
-    load_baseline,
-    save_baseline,
-)
+from repro.analysis import analyze_paths
 from repro.analysis.engine import parse_pragmas
-from repro.analysis.rules import Violation
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,6 +54,12 @@ class TestExitCodes:
     def test_missing_target_exits_two(self, project):
         result = run_cli("no/such/dir", cwd=project)
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("flag", ["--cache-dir=.lint-cache", "--baseline=b.json"])
+    def test_removed_flags_are_unknown(self, project, flag):
+        result = run_cli("pkg", flag, cwd=project)
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
 
     def test_syntax_error_is_reported_not_crashed(self, project):
         (project / "pkg" / "broken.py").write_text("def f(:\n")
@@ -124,112 +124,6 @@ class TestSarifCli:
         assert payload["runs"][0]["results"]
 
 
-class TestCacheCli:
-    def test_warm_run_output_is_identical(self, project):
-        cold = run_cli(
-            "pkg", "--cache-dir", ".lint-cache", "--format", "json",
-            cwd=project,
-        )
-        warm = run_cli(
-            "pkg", "--cache-dir", ".lint-cache", "--format", "json",
-            cwd=project,
-        )
-        assert cold.returncode == warm.returncode == 1
-        cold_payload = json.loads(cold.stdout)
-        warm_payload = json.loads(warm.stdout)
-        assert cold_payload["violations"] == warm_payload["violations"]
-        assert warm_payload["cache"]["hits"] == 2
-        assert warm_payload["cache"]["misses"] == 0
-        assert warm_payload["cache"]["project_from_cache"] is True
-
-    def test_text_summary_reports_cache_counters(self, project):
-        run_cli("pkg", "--cache-dir", ".lint-cache", cwd=project)
-        warm = run_cli("pkg", "--cache-dir", ".lint-cache", cwd=project)
-        assert "cache: 2 hits, 0 misses" in warm.stdout
-
-
-class TestBaselineCli:
-    def test_update_baseline_then_clean(self, project):
-        update = run_cli("pkg", "--update-baseline", cwd=project)
-        assert update.returncode == 0
-        baseline = project / ".repro-analysis-baseline.json"
-        assert baseline.exists()
-
-        result = run_cli("pkg", cwd=project)
-        assert result.returncode == 0, result.stdout
-        assert "1 grandfathered" in result.stdout
-
-    def test_fixed_violation_makes_entry_stale(self, project):
-        run_cli("pkg", "--update-baseline", cwd=project)
-        (project / "pkg" / "dirty.py").write_text(CLEAN)
-
-        result = run_cli("pkg", cwd=project)
-        assert result.returncode == 1
-        assert "STALE" in result.stdout
-
-    def test_baseline_survives_line_shift(self, project):
-        run_cli("pkg", "--update-baseline", cwd=project)
-        # Prepend lines: the violation moves but its source text does not.
-        (project / "pkg" / "dirty.py").write_text('"""doc"""\nimport os\n\n' + DIRTY)
-
-        result = run_cli("pkg", cwd=project)
-        assert result.returncode == 0, result.stdout
-        assert "1 grandfathered" in result.stdout
-
-    def test_new_violation_not_hidden_by_baseline(self, project):
-        run_cli("pkg", "--update-baseline", cwd=project)
-        (project / "pkg" / "fresh.py").write_text("def g(seen={1}):\n    return seen\n")
-
-        result = run_cli("pkg", cwd=project)
-        assert result.returncode == 1
-        assert "fresh.py" in result.stdout
-
-
-class TestBaselineSemantics:
-    def _violation(self, path="pkg/a.py", rule="R6", source="def f(a=[]):", line=1):
-        return Violation(
-            path=path, line=line, col=1, rule=rule, message="m", source=source
-        )
-
-    def test_multiset_matching(self):
-        # Two identical offending lines, one baseline entry: one stays new.
-        violations = [self._violation(line=1), self._violation(line=9)]
-        entries = [BaselineEntry(path="pkg/a.py", rule="R6", source="def f(a=[]):")]
-        result = apply_baseline(violations, entries)
-        assert len(result.grandfathered) == 1
-        assert len(result.new_violations) == 1
-        assert not result.stale_entries
-
-    def test_whitespace_normalised_matching(self):
-        # Indentation and run-of-spaces changes do not invalidate an entry.
-        violations = [self._violation(source="    def  f(a=[]):")]
-        entries = [BaselineEntry(path="pkg/a.py", rule="R6", source="def f(a=[]):")]
-        result = apply_baseline(violations, entries)
-        assert len(result.grandfathered) == 1
-
-    def test_stale_entry_detected(self):
-        entries = [BaselineEntry(path="pkg/gone.py", rule="R1", source="for x in s:")]
-        result = apply_baseline([], entries)
-        assert result.stale_entries == tuple(entries)
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(path, [self._violation()])
-        entries = load_baseline(path)
-        assert entries == [
-            BaselineEntry(path="pkg/a.py", rule="R6", source="def f(a=[]):")
-        ]
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == []
-
-    def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(ValueError, match="unsupported baseline format"):
-            load_baseline(path)
-
-
 class TestPragmaParsing:
     def test_parse_pragmas(self):
         lines = [
@@ -254,6 +148,7 @@ class TestRepoIsClean:
                 str(REPO_ROOT / "src" / "repro"),
                 str(REPO_ROOT / "tests"),
                 str(REPO_ROOT / "benchmarks"),
+                str(REPO_ROOT / "examples"),
             ]
         )
         assert not report.parse_failures

@@ -1,16 +1,14 @@
 """Whole-program analysis tests: the project index / call graph, the
-cross-file rules R11-R14, the incremental cache, the SARIF emitter, and
-the pragma-parser regressions.
+cross-file rules R11-R14, the SARIF emitter, and the pragma-parser
+regressions.
 
 Each rule gets a miniature on-disk project (packages with real
 ``__init__.py`` chains) because the behaviour under test is exactly the
 cross-file part: pairing a writer in one module with a reader in another,
-resolving a call through an import alias, invalidating a cached artefact
-through the module graph.
+resolving a call through an import alias.
 """
 
 import ast
-import json
 import shutil
 import textwrap
 from pathlib import Path
@@ -18,11 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import ALL_RULES, analyze_paths
-from repro.analysis.cache import (
-    AnalysisCache,
-    content_hash,
-    ruleset_signature,
-)
 from repro.analysis.callgraph import resolve_call
 from repro.analysis.engine import analyze_paths as engine_analyze_paths
 from repro.analysis.engine import parse_pragmas_source
@@ -45,8 +38,8 @@ def write_tree(root: Path, files: dict) -> Path:
     return root
 
 
-def lint_tree(root: Path, rules=ALL_RULES, cache=None):
-    return analyze_paths([str(root)], rules, root=str(root), cache=cache)
+def lint_tree(root: Path, rules=ALL_RULES):
+    return analyze_paths([str(root)], rules, root=str(root))
 
 
 def findings(root: Path, rule_id: str, **kwargs):
@@ -784,112 +777,6 @@ class TestR5CrossModule:
 
 
 # --------------------------------------------------------------------- #
-# Incremental cache
-# --------------------------------------------------------------------- #
-
-_CACHE_TREE = {
-    "pkg/__init__.py": "",
-    "pkg/base.py": """\
-        def leaf():
-            return 1
-        """,
-    "pkg/mid.py": """\
-        from .base import leaf
-
-        def middle():
-            return leaf()
-        """,
-    "pkg/top.py": """\
-        from .mid import middle
-
-        def entry():
-            return middle()
-        """,
-}
-
-
-class TestAnalysisCache:
-    def test_warm_run_is_bit_identical_and_fully_cached(self, tmp_path):
-        root = write_tree(tmp_path / "tree", _CACHE_TREE)
-        cache_dir = tmp_path / "cache"
-
-        cold_cache = AnalysisCache(cache_dir, ALL_RULES)
-        cold = lint_tree(root, cache=cold_cache)
-        assert cold.cache_hits == 0
-        assert cold.cache_misses == len(_CACHE_TREE)
-        assert not cold.project_from_cache
-        assert (cache_dir / "analysis-cache.json").exists()
-
-        warm_cache = AnalysisCache(cache_dir, ALL_RULES)
-        warm = lint_tree(root, cache=warm_cache)
-        assert warm.cache_hits == len(_CACHE_TREE)
-        assert warm.cache_misses == 0
-        assert warm.project_from_cache
-        assert [v.to_json() for v in warm.violations] == [
-            v.to_json() for v in cold.violations
-        ]
-
-    def test_content_change_invalidates_one_file(self, tmp_path):
-        root = write_tree(tmp_path / "tree", _CACHE_TREE)
-        cache_dir = tmp_path / "cache"
-        lint_tree(root, cache=AnalysisCache(cache_dir, ALL_RULES))
-
-        (root / "pkg/base.py").write_text(
-            "def leaf():\n    return 2\n", encoding="utf-8"
-        )
-        cache = AnalysisCache(cache_dir, ALL_RULES)
-        report = lint_tree(root, cache=cache)
-        assert report.cache_misses == 1
-        assert report.cache_hits == len(_CACHE_TREE) - 1
-        # The global digest moved, so the cross-file pass re-ran.
-        assert not report.project_from_cache
-
-    def test_transitive_dependency_invalidation(self, tmp_path):
-        root = write_tree(tmp_path / "tree", _CACHE_TREE)
-        cache_dir = tmp_path / "cache"
-        cache = AnalysisCache(cache_dir, ALL_RULES)
-        lint_tree(root, cache=cache)
-
-        relpaths = {
-            name: (root / f"pkg/{name}.py").as_posix()
-            for name in ("base", "mid", "top")
-        }
-        hashes = {path: cache._files[path]["hash"] for path in cache._files}
-        # Pretend base.py changed: its importers are stale transitively.
-        hashes[relpaths["base"]] = content_hash("changed")
-        stale = AnalysisCache(cache_dir, ALL_RULES).stale_files(hashes)
-        assert relpaths["base"] in stale
-        assert relpaths["mid"] in stale
-        assert relpaths["top"] in stale
-        assert (root / "pkg/__init__.py").as_posix() not in stale
-
-    def test_rule_set_change_drops_cache(self, tmp_path):
-        root = write_tree(tmp_path / "tree", _CACHE_TREE)
-        cache_dir = tmp_path / "cache"
-        lint_tree(root, cache=AnalysisCache(cache_dir, ALL_RULES))
-
-        subset = ALL_RULES[:5]
-        assert ruleset_signature(subset) != ruleset_signature(ALL_RULES)
-        report = lint_tree(
-            root, rules=subset, cache=AnalysisCache(cache_dir, subset)
-        )
-        assert report.cache_hits == 0
-        assert report.cache_misses == len(_CACHE_TREE)
-
-    def test_removed_file_is_pruned(self, tmp_path):
-        root = write_tree(tmp_path / "tree", _CACHE_TREE)
-        cache_dir = tmp_path / "cache"
-        lint_tree(root, cache=AnalysisCache(cache_dir, ALL_RULES))
-
-        (root / "pkg/top.py").unlink()
-        lint_tree(root, cache=AnalysisCache(cache_dir, ALL_RULES))
-        payload = json.loads(
-            (cache_dir / "analysis-cache.json").read_text(encoding="utf-8")
-        )
-        assert (root / "pkg/top.py").as_posix() not in payload["files"]
-
-
-# --------------------------------------------------------------------- #
 # SARIF emitter
 # --------------------------------------------------------------------- #
 
@@ -909,7 +796,7 @@ class TestSarif:
         report = lint_tree(root)
         new = [v for v in report.violations if v.rule == "R11"]
         assert new
-        sarif = sarif_report(new, [], [], ALL_RULES)
+        sarif = sarif_report(new, [], ALL_RULES)
         assert sarif["version"] == "2.1.0"
         run = sarif["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro.analysis"
@@ -921,18 +808,6 @@ class TestSarif:
         location = result["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"].endswith("pkg/state.py")
         assert location["region"]["startLine"] == new[0].line
-
-    def test_grandfathered_become_suppressed_notes(self):
-        from repro.analysis.rules import Violation
-
-        violation = Violation(
-            path="pkg/x.py", line=3, col=1, rule="R1",
-            message="msg", source="for x in s:",
-        )
-        sarif = sarif_report([], [violation], [], ALL_RULES)
-        result = sarif["runs"][0]["results"][0]
-        assert result["level"] == "note"
-        assert result["suppressions"][0]["kind"] == "external"
 
 
 # --------------------------------------------------------------------- #

@@ -364,3 +364,106 @@ class TestCheckpointError:
         assert path.read_bytes() != first
         assert load_checkpoint(path).samples_seen == 400
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def rewrite_meta(path, edit):
+    """Replace a checkpoint's JSON metadata with ``edit(meta)``."""
+    import json
+
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(arrays["meta"]))
+    arrays["meta"] = np.array(json.dumps(edit(meta)))
+    np.savez(path, **arrays)
+
+
+def mutated_copies(data, seed, count):
+    """``count`` seeded corruptions of ``data``: half torn at a random
+    length, half with one random bit flipped."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        copy = bytearray(data)
+        if rng.random() < 0.5:
+            del copy[int(rng.integers(0, len(copy))):]
+        else:
+            copy[int(rng.integers(0, len(copy)))] ^= 1 << int(rng.integers(0, 8))
+        yield bytes(copy)
+
+
+def load_each(path, copies, load):
+    """Write each copy to ``path`` and load it: it must load or raise
+    CheckpointError; any other exception fails the calling test."""
+    from repro.core import CheckpointError
+
+    for copy in copies:
+        # A fresh file per case: truncating one in place makes some
+        # filesystems flush it to disk, which slows the sweep ~1000x.
+        path.unlink(missing_ok=True)
+        path.write_bytes(copy)
+        try:
+            load(path)
+        except CheckpointError:
+            pass
+
+
+class TestMalformedCheckpoint:
+    """Well-formed archives with mistyped metadata, and seeded torn or
+    bit-flipped archives, surface only as CheckpointError."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: list(meta),
+            lambda meta: {**meta, "previous_outliers": None},
+            lambda meta: {**meta, "config": None},
+            lambda meta: {**meta, "n_sensors": None},
+            lambda meta: {**meta, "config": {**meta["config"], "no_such_knob": 1}},
+            lambda meta: {**meta, "tracker_window": 10**30},
+        ],
+        ids=[
+            "meta-is-a-list",
+            "null-previous-outliers",
+            "null-config",
+            "null-n-sensors",
+            "unknown-config-key",
+            "overflowing-tracker-window",
+        ],
+    )
+    def test_mistyped_meta_is_a_checkpoint_error(
+        self, toy_config, toy_values, tmp_path, edit
+    ):
+        from repro.core import CheckpointError
+
+        stream = StreamingCAD(toy_config, 12)
+        stream.push_many(toy_values[:, :200])
+        path = tmp_path / "ck.npz"
+        stream.save(path)
+        rewrite_meta(path, edit)
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.path == path
+
+    def test_torn_and_bit_flipped_archives(self, toy_config, toy_values, tmp_path):
+        stream = StreamingCAD(toy_config, 12)
+        stream.push_many(toy_values[:, :200])
+        path = tmp_path / "ck.npz"
+        stream.save(path)
+        copies = mutated_copies(path.read_bytes(), seed=0, count=3000)
+        load_each(tmp_path / "case.npz", copies, load_checkpoint)
+
+    def test_torn_and_bit_flipped_fleet_manifests(self, tmp_path):
+        from repro.core.checkpoint import load_fleet_manifest, save_fleet_manifest
+
+        path = tmp_path / "manifest.json"
+        save_fleet_manifest(
+            path,
+            shards=2,
+            seed=7,
+            cycle=11,
+            tenants={
+                "alpha": {"shard": 0, "directory": "tenants/alpha"},
+                "beta": {"shard": 1, "directory": "tenants/beta"},
+            },
+        )
+        copies = mutated_copies(path.read_bytes(), seed=1, count=3000)
+        load_each(tmp_path / "case.json", copies, load_fleet_manifest)

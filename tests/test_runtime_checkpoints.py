@@ -107,6 +107,42 @@ class TestRecover:
         assert recovered.generation.round_index == 12
         assert newest.sidecar in recovered.skipped
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("samples_seen", "abc"),
+            ("samples_seen", None),
+            ("samples_seen", -1),
+            ("runtime", [1, 2]),
+            ("runtime", None),
+        ],
+    )
+    def test_falls_back_past_mistyped_sidecar(self, stream, tmp_path, field, value):
+        rotation = CheckpointRotation(tmp_path, keep=3)
+        rotation.write(stream, 12, {"gen": "old"})
+        old_samples = stream.samples_seen
+        advance(stream, 50, seed=4)
+        newest = rotation.write(stream, 17, {"gen": "new"})
+        payload = json.loads(newest.sidecar.read_text())
+        payload[field] = value
+        newest.sidecar.write_text(json.dumps(payload))
+        assert rotation.min_covered_samples() == old_samples
+        recovered = rotation.recover()
+        assert recovered is not None
+        assert recovered.generation.round_index == 12
+        assert recovered.runtime_state == {"gen": "old"}
+        assert recovered.skipped == (newest.sidecar,)
+
+    def test_falls_back_past_non_utf8_sidecar(self, stream, tmp_path):
+        rotation = CheckpointRotation(tmp_path, keep=3)
+        rotation.write(stream, 12, {})
+        advance(stream, 50, seed=4)
+        newest = rotation.write(stream, 17, {})
+        newest.sidecar.write_bytes(b'{"format": "\xff"}')
+        recovered = rotation.recover()
+        assert recovered is not None
+        assert recovered.generation.round_index == 12
+
     def test_all_generations_corrupt_recovers_nothing(self, stream, tmp_path):
         rotation = CheckpointRotation(tmp_path, keep=3)
         for round_index in (10, 20):
