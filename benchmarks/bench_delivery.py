@@ -55,7 +55,7 @@ from repro.ingest import (
 from repro.runtime import StreamSupervisor, SupervisorConfig, VirtualClock
 from repro.timeseries import MultivariateTimeSeries
 
-from bench_soak import bare_run, identical, synthetic_values
+from bench_soak import bare_run, identical, stray_files, synthetic_values
 
 
 def frontier_run(
@@ -188,6 +188,7 @@ def main() -> int:
         chaos_records.extend(supervisor.finish())
         chaos_seconds = time.perf_counter() - start
         health = supervisor.health()
+        chaos_stray = stray_files(supervisor, Path(tmp))
     chaos_identical = identical(base_records, chaos_records)
     if not chaos_identical:
         failures.append(
@@ -199,17 +200,20 @@ def main() -> int:
         failures.append("delivery-chaos: nothing was deduped (soak proved nothing)")
     if health.samples_late_dropped == 0:
         failures.append("delivery-chaos: nothing arrived late (soak proved nothing)")
+    if chaos_stray:
+        failures.append(f"delivery-chaos: {chaos_stray} stray checkpoint files")
     print(
         f"delivery-chaos    {len(chaos_records)} rounds in {chaos_seconds:6.2f}s  "
         f"delivered {len(delivered)}  reordered {health.samples_reordered}  "
         f"deduped {health.samples_deduped}  late {health.samples_late_dropped}  "
-        f"identical={chaos_identical}"
+        f"stray {chaos_stray}  identical={chaos_identical}"
     )
     results["delivery_chaos"] = {
         "rounds": len(chaos_records),
         "seconds": round(chaos_seconds, 3),
         "envelopes_delivered": len(delivered),
         "records_identical": chaos_identical,
+        "stray_files": chaos_stray,
         "health": health.to_dict(),
     }
     args.health_out.write_text(health.to_json() + "\n")

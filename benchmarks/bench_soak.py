@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -115,6 +116,23 @@ def supervised_run(
 
 def identical(a, b) -> bool:
     return len(a) == len(b) and all(x == y for x, y in zip(a, b))
+
+
+_ARCHIVE_NAME = re.compile(r"^(ckpt-\d{10})\.npz$")
+
+
+def stray_files(supervisor: StreamSupervisor, directory: Path) -> int:
+    """Join the supervisor's checkpoint reclaim, then count the entries in
+    ``directory`` other than live ``ckpt-<round>.npz/.json`` pairs."""
+    assert supervisor.rotation is not None
+    supervisor.rotation.join_reclaim()
+    names = {entry.name for entry in directory.iterdir()}
+    pairs = {
+        match.group(1)
+        for match in map(_ARCHIVE_NAME.match, names)
+        if match is not None and match.group(1) + ".json" in names
+    }
+    return len(names) - 2 * len(pairs)
 
 
 def main() -> int:
@@ -206,21 +224,25 @@ def main() -> int:
             chaos=chaos,
         )
         health = supervisor.health()
+        chaos_stray = stray_files(supervisor, Path(tmp))
     chaos_identical = identical(base_records, chaos_records)
     if not chaos_identical:
         failures.append("process-chaos: recovered records diverged from fault-free run")
     if health.crashes_recovered == 0 or health.slow_rounds == 0:
         failures.append("process-chaos: chaos model never fired (soak proved nothing)")
+    if chaos_stray:
+        failures.append(f"process-chaos: {chaos_stray} stray checkpoint files")
     print(
         f"process-chaos   {len(chaos_records)} rounds in {chaos_seconds:6.2f}s  "
         f"crashes {health.crashes_recovered}  slow {health.slow_rounds}  "
         f"retries {health.retries}  checkpoints {health.checkpoints_written}  "
-        f"identical={chaos_identical}"
+        f"stray {chaos_stray}  identical={chaos_identical}"
     )
     results["process_chaos"] = {
         "rounds": len(chaos_records),
         "seconds": round(chaos_seconds, 3),
         "records_identical": chaos_identical,
+        "stray_files": chaos_stray,
         "health": health.to_dict(),
     }
     args.health_out.write_text(health.to_json() + "\n")
@@ -246,6 +268,7 @@ def main() -> int:
         flap_records, flap_seconds, flap_supervisor = supervised_run(
             config, history, flapped, flap_config, checkpoint_dir=Path(tmp)
         )
+        flap_supervisor.rotation.join_reclaim()
     flap_health = flap_supervisor.health()
     breaker = flap_supervisor.breakers[flap_sensor]
     # Rounds whose window closed before the flap began saw untouched data.

@@ -11,6 +11,21 @@ The zero-padded number is the global round index at which the generation
 was taken, so lexicographic order equals recency.  ``keep`` generations are
 retained; older pairs are pruned after each successful write.
 
+Pruning is rename-then-reclaim.  Freeing a file's blocks is the slow part
+of deleting it (tens of milliseconds per file on a filesystem mounted with
+``discard``, whatever the file's size), while a rename costs microseconds.
+So :meth:`CheckpointRotation.prune` renames each surplus file to
+``<name>.reclaim`` on the caller's thread, which hides it from every scan
+at once, and hands the batch to one short-lived non-daemon thread that
+unlinks it.  At most one batch is in flight per rotation: the next prune
+joins the previous batch first, so reclaim can never fall behind without
+bound, and interpreter exit waits for the last one.  The free is hidden
+only while no ``fsync`` runs: the next checkpoint's fsync waits for a
+batch still being freed, so the round path pays whatever part of the free
+outlasts the rounds between two checkpoints.  Staging ``*.tmp`` and
+``*.reclaim`` files a killed process left behind are swept into the first
+batch when the rotation is constructed.
+
 The sidecar carries everything the *supervisor* (as opposed to the
 detector) accumulates — breaker states, ingest counters, emitted-round
 count — so a restarted process resumes quarantine decisions and suppresses
@@ -24,7 +39,9 @@ sidecar is corrupt instead of dying on it.
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -43,6 +60,7 @@ __all__ = ["CheckpointRotation", "Generation", "RecoveredStream"]
 _SIDECAR_FORMAT = "repro-runtime-state"
 _SIDECAR_VERSION = 1
 _NAME_RE = re.compile(r"^ckpt-(\d{10})\.npz$")
+_LEFTOVER_RE = re.compile(r"^ckpt-\d{10}\.(npz|json)\.(tmp|reclaim)$")
 
 
 @dataclass(frozen=True)
@@ -77,6 +95,14 @@ class CheckpointRotation:
         self.directory = Path(directory)
         self.keep = keep
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._reclaim: threading.Thread | None = None
+        self._start_reclaim(
+            [
+                entry
+                for entry in sorted(self.directory.iterdir())
+                if _LEFTOVER_RE.match(entry.name)
+            ]
+        )
 
     # ----------------------------------------------------------------- #
     # Writing
@@ -105,20 +131,55 @@ class CheckpointRotation:
             "samples_seen": stream.samples_seen,
             "runtime": runtime_state,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # Compact separators keep CPython on its C encoder (``indent`` turns
+        # it off); the reader does not care about layout.
+        text = json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
         atomic_write(sidecar, "w", lambda handle: handle.write(text))
         self.prune()
         return Generation(round_index, path, sidecar)
 
     def prune(self) -> list[Generation]:
-        """Delete all but the newest ``keep`` generations; return removals."""
-        generations = self.generations()
-        removed = []
-        for generation in generations[self.keep :]:
-            generation.path.unlink(missing_ok=True)
-            generation.sidecar.unlink(missing_ok=True)
-            removed.append(generation)
+        """Retire all but the newest ``keep`` generations; return them.
+
+        Each surplus archive and sidecar is renamed to ``<name>.reclaim``
+        here, so every scan sees exactly ``keep`` generations once this
+        returns; the unlinks that free their blocks run on a background
+        reclaim thread (see :meth:`join_reclaim`).
+        """
+        removed = self.generations()[self.keep :]
+        batch = []
+        for generation in removed:
+            # Sidecar first: a process killed between the two renames leaves
+            # an archive without a sidecar, which every scan already skips
+            # and the next prune retires, never an orphaned sidecar.
+            for path in (generation.sidecar, generation.path):
+                retired = path.with_name(path.name + ".reclaim")
+                try:
+                    path.rename(retired)
+                except FileNotFoundError:
+                    continue  # a sidecar a crashed write never produced
+                batch.append(retired)
+        self._start_reclaim(batch)
         return removed
+
+    def join_reclaim(self) -> None:
+        """Block until the in-flight reclaim batch has unlinked its files."""
+        if self._reclaim is not None:
+            self._reclaim.join()
+            self._reclaim = None
+
+    def _start_reclaim(self, batch: list[Path]) -> None:
+        """Unlink ``batch`` off the caller's thread, one batch at a time."""
+        if not batch:
+            return
+        self.join_reclaim()
+        self._reclaim = threading.Thread(
+            target=_unlink_all,
+            args=(batch,),
+            name="checkpoint-reclaim",
+            daemon=False,  # interpreter exit waits for the batch
+        )
+        self._reclaim.start()
 
     # ----------------------------------------------------------------- #
     # Scanning / recovery
@@ -215,3 +276,16 @@ class CheckpointRotation:
         if not isinstance(payload.get("runtime"), dict):
             return None
         return payload
+
+
+def _unlink_all(paths: list[Path]) -> None:
+    """Reclaim-thread body: free each retired file's blocks.
+
+    A file that cannot be unlinked keeps its ``.reclaim`` name, which no
+    scan reads, and the next rotation built on the directory sweeps it.
+    """
+    for path in paths:
+        try:
+            os.unlink(path)
+        except OSError:
+            continue

@@ -282,6 +282,11 @@ class StreamSupervisor:
         """The attached delivery frontier (None when feeding sample rows)."""
         return self._frontier
 
+    @property
+    def rotation(self) -> CheckpointRotation | None:
+        """The checkpoint rotation (None without a ``checkpoint_dir``)."""
+        return self._rotation
+
     def warm_up(self, history: MultivariateTimeSeries) -> None:
         """Seed detector statistics; kept for from-scratch recovery replay."""
         self._history = history

@@ -1,6 +1,10 @@
 """Rotated checkpoint generations: atomic writes, pruning, fall-back recovery."""
 
 import json
+import os
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,193 @@ class TestWrite:
     def test_keep_validated(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointRotation(tmp_path, keep=0)
+
+
+def live_and_stray(directory: Path) -> tuple[list[str], list[str]]:
+    """Split a directory listing into live ``ckpt-*`` names and the rest."""
+    names = sorted(entry.name for entry in directory.iterdir())
+    live = [
+        name
+        for name in names
+        if name.startswith("ckpt-") and name.endswith((".npz", ".json"))
+    ]
+    return live, [name for name in names if name not in live]
+
+
+class TestReclaim:
+    """Pruning renames surplus files out of sight and frees them off-thread."""
+
+    def test_write_never_unlinks_on_the_caller_thread(
+        self, stream, tmp_path, monkeypatch
+    ):
+        callers = []
+        real_os_unlink, real_path_unlink = os.unlink, Path.unlink
+
+        def os_unlink(path, *args, **kwargs):
+            callers.append(threading.current_thread())
+            return real_os_unlink(path, *args, **kwargs)
+
+        def path_unlink(self, *args, **kwargs):
+            callers.append(threading.current_thread())
+            return real_path_unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", os_unlink)
+        monkeypatch.setattr(Path, "unlink", path_unlink)
+        keep = 2
+        rotation = CheckpointRotation(tmp_path, keep=keep)
+        for round_index in range(keep + 2):
+            rotation.write(stream, round_index, {})
+            assert threading.current_thread() not in callers
+        rotation.join_reclaim()
+        assert callers, "the surplus generations must have been unlinked"
+        assert threading.current_thread() not in callers
+
+    def test_exactly_keep_pairs_visible_and_none_left_after_join(
+        self, stream, tmp_path
+    ):
+        keep = 2
+        rotation = CheckpointRotation(tmp_path, keep=keep)
+        for round_index in range(keep + 2):
+            rotation.write(stream, round_index, {})
+            visible = min(round_index + 1, keep)
+            assert len(list(tmp_path.glob("ckpt-*.npz"))) == visible
+            assert len(list(tmp_path.glob("ckpt-*.json"))) == visible
+            assert len(rotation.generations()) == visible
+        rotation.join_reclaim()
+        live, stray = live_and_stray(tmp_path)
+        assert stray == []
+        assert live == [
+            "ckpt-0000000002.json",
+            "ckpt-0000000002.npz",
+            "ckpt-0000000003.json",
+            "ckpt-0000000003.npz",
+        ]
+
+    def test_reclaim_named_generation_is_invisible(self, stream, tmp_path):
+        rotation = CheckpointRotation(tmp_path, keep=3)
+        rotation.write(stream, 12, {"gen": "old"})
+        old_samples = stream.samples_seen
+        advance(stream, 50, seed=4)
+        newest = rotation.write(stream, 17, {"gen": "new"})
+        for path in (newest.path, newest.sidecar):
+            path.rename(path.with_name(path.name + ".reclaim"))
+        assert [g.round_index for g in rotation.generations()] == [12]
+        assert rotation.min_covered_samples() == old_samples
+        recovered = rotation.recover()
+        assert recovered is not None
+        assert recovered.generation.round_index == 12
+        assert recovered.runtime_state == {"gen": "old"}
+        assert recovered.skipped == ()
+
+    def test_leftover_staging_and_reclaim_files_are_swept(self, stream, tmp_path):
+        CheckpointRotation(tmp_path, keep=2).write(stream, 12, {})
+        leftovers = [
+            "ckpt-0000000020.npz.tmp",
+            "ckpt-0000000020.json.tmp",
+            "ckpt-0000000004.npz.reclaim",
+            "ckpt-0000000004.json.reclaim",
+        ]
+        for name in leftovers:
+            (tmp_path / name).write_bytes(b"left by a killed process")
+        (tmp_path / "notes.txt").write_text("not ours to delete")
+        rotation = CheckpointRotation(tmp_path, keep=2)
+        rotation.join_reclaim()
+        live, stray = live_and_stray(tmp_path)
+        assert live == ["ckpt-0000000012.json", "ckpt-0000000012.npz"]
+        assert stray == ["notes.txt"]
+
+    def test_failed_reclaim_never_reaches_write_and_is_swept_later(
+        self, stream, tmp_path, monkeypatch
+    ):
+        real_unlink = os.unlink
+
+        def refusing(path, *args, **kwargs):
+            if str(path).endswith(".reclaim"):
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", refusing)
+        rotation = CheckpointRotation(tmp_path, keep=1)
+        rotation.write(stream, 10, {})
+        rotation.write(stream, 20, {})  # must not raise
+        rotation.join_reclaim()
+        assert sorted(p.name for p in tmp_path.glob("*.reclaim")) == [
+            "ckpt-0000000010.json.reclaim",
+            "ckpt-0000000010.npz.reclaim",
+        ]
+        monkeypatch.setattr(os, "unlink", real_unlink)
+        CheckpointRotation(tmp_path, keep=1).join_reclaim()
+        live, stray = live_and_stray(tmp_path)
+        assert live == ["ckpt-0000000020.json", "ckpt-0000000020.npz"]
+        assert stray == []
+
+    def test_prune_killed_between_renames_strands_no_sidecar(
+        self, stream, tmp_path, monkeypatch
+    ):
+        class Killed(Exception):
+            pass
+
+        real_rename = Path.rename
+
+        def killed_on_archive(path, target):
+            if path.suffix == ".npz":
+                raise Killed
+            return real_rename(path, target)
+
+        rotation = CheckpointRotation(tmp_path, keep=1)
+        rotation.write(stream, 10, {})
+        monkeypatch.setattr(Path, "rename", killed_on_archive)
+        with pytest.raises(Killed):
+            rotation.write(stream, 20, {})
+        monkeypatch.setattr(Path, "rename", real_rename)
+        rotation.join_reclaim()
+        # The sidecar went first: the surplus archive is still visible but
+        # unreadable, so recovery passes over it, and the next prune retires it.
+        assert not (tmp_path / "ckpt-0000000010.json").exists()
+        restarted = CheckpointRotation(tmp_path, keep=1)
+        recovered = restarted.recover()
+        assert recovered is not None
+        assert recovered.generation.round_index == 20
+        restarted.write(stream, 30, {})
+        restarted.join_reclaim()
+        live, stray = live_and_stray(tmp_path)
+        assert live == ["ckpt-0000000030.json", "ckpt-0000000030.npz"]
+        assert stray == []
+
+    def test_second_prune_waits_for_the_batch_in_flight(
+        self, stream, tmp_path, monkeypatch
+    ):
+        release = threading.Event()
+        real_unlink = os.unlink
+
+        def blocked(path, *args, **kwargs):
+            if str(path).endswith(".reclaim"):
+                release.wait(timeout=30)
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", blocked)
+        rotation = CheckpointRotation(tmp_path, keep=1)
+        rotation.write(stream, 10, {})
+        rotation.write(stream, 20, {})  # first batch: blocked on the event
+        writer = threading.Thread(target=rotation.write, args=(stream, 30, {}))
+        try:
+            writer.start()
+            # The surplus generation goes out of sight before the hand-off,
+            # then the writer must stay parked until the first batch ends.
+            deadline = time.monotonic() + 30
+            while [g.round_index for g in rotation.generations()] != [30]:
+                assert time.monotonic() < deadline, "prune never renamed gen 20"
+                time.sleep(0.01)
+            writer.join(timeout=0.2)
+            assert writer.is_alive(), "the second prune must wait for the first"
+        finally:
+            release.set()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        rotation.join_reclaim()
+        live, stray = live_and_stray(tmp_path)
+        assert live == ["ckpt-0000000030.json", "ckpt-0000000030.npz"]
+        assert stray == []
 
 
 class TestRecover:
