@@ -32,8 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "AST linter enforcing CAD's determinism and numerical-safety "
-            "invariants (rules R1-R14; see DESIGN.md 'Enforced invariants' "
-            "and 'Whole-program analysis')."
+            "invariants (rules R1-R9, R11, R13, R14; see DESIGN.md "
+            "'Enforced invariants' and 'Whole-program analysis')."
         ),
     )
     parser.add_argument(

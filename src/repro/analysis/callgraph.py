@@ -13,15 +13,14 @@ machinery rules use for symbols:
   can prove).
 
 Resolution is deliberately conservative: an edge that cannot be proven is
-omitted, so rules built on reachability (R5's cross-module dispatch check,
-R11's state-helper expansion, R12's lock-order propagation) under-approximate
-rather than hallucinate.
+omitted, so R11's state-helper expansion, the one rule built on
+reachability, under-approximates rather than hallucinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .project import ProjectContext
@@ -53,9 +52,6 @@ class CallGraph:
                         targets.add(resolved)
                 edges[caller] = tuple(sorted(targets))
         return cls(edges=edges)
-
-    def callees(self, node: str) -> tuple[str, ...]:
-        return self.edges.get(node, ())
 
     def transitive_callees(
         self, node: str, *, within_module: str | None = None
@@ -143,7 +139,3 @@ def _node_for_absolute(project: "ProjectContext", absolute: str) -> str | None:
             return node_id(target_module, candidate)
     return None
 
-
-def restrict_to_module(nodes: Iterable[str], module: str) -> set[str]:
-    prefix = module + ":"
-    return {node for node in nodes if node.startswith(prefix)}

@@ -1,7 +1,7 @@
 """Whole-program index for :mod:`repro.analysis`.
 
-The per-file rules (R1-R10) see one AST at a time; the cross-file rules
-(R11-R14, and R5's cross-module pass) need to know how files relate: which
+The per-file rules (R1-R9) see one AST at a time; the cross-file rules
+(R11, R13, R14, and R5's cross-module pass) need to know how files relate: which
 dotted module each file is, what every ``import`` resolves to, which
 functions and classes each module defines, and who calls whom.  This module
 builds that index from nothing but the stdlib ``ast`` — no imports are

@@ -1,7 +1,9 @@
 """Rule registry for :mod:`repro.analysis`.
 
 ``ALL_RULES`` is the ordered tuple the engine runs; ordering is part of the
-output contract (findings sort by path/line, ties by rule id).
+output contract (findings sort by path/line, ties by rule id).  Ids R10
+and R12 are retired, not reused, so existing ``noqa[...]`` pragmas and
+SARIF consumers keep their meaning.
 """
 
 from __future__ import annotations
@@ -14,12 +16,10 @@ from .exception_taxonomy import ExceptionTaxonomyRule
 from .exceptions import SwallowedExceptionRule
 from .floats import FloatEqualityRule
 from .ingest_clock import IngestClockRule
-from .lock_order import LockOrderRule
 from .nandiscipline import NanDisciplineRule
 from .ordering import UnorderedIterationRule
 from .parallel_dispatch import ParallelDispatchRule
 from .randomness import ModuleRandomStateRule
-from .sharedmemory import SharedMemoryLifecycleRule
 from .wallclock import WallClockRule
 
 ALL_RULES: tuple[Rule, ...] = (
@@ -32,9 +32,7 @@ ALL_RULES: tuple[Rule, ...] = (
     SwallowedExceptionRule(),
     NanDisciplineRule(),
     IngestClockRule(),
-    SharedMemoryLifecycleRule(),
     CheckpointContractRule(),
-    LockOrderRule(),
     ConfigDriftRule(),
     ExceptionTaxonomyRule(),
 )

@@ -1,24 +1,24 @@
 """R5 — functions shipped to the process pool must be module-level and
 free of mutable shared state.
 
-:mod:`repro.core.parallel` fans stage-A chunks over a
-``ProcessPoolExecutor``.  Whatever lands in ``pool.submit(f, ...)`` /
-``pool.map(f, ...)`` is pickled by reference: a lambda or nested closure
+:mod:`repro.core.parallel` starts its long-lived workers with
+``ctx.Process(target=_pool_worker, ...)``.  Under the ``spawn`` start
+method the target is pickled by reference: a lambda or nested closure
 fails at runtime (and only when ``n_jobs > 1``, so tests at the default
-miss it), a bound method drags its whole ``self`` across the fork, and a
+miss it), a bound method drags its whole ``self`` across, and a
 module-level function that reads or writes a mutable module global races
-against other workers — each fork sees its own divergent copy, which is
-exactly the nondeterminism the refresh-aligned chunking was built to rule
-out.
+against other workers — each process sees its own divergent copy, which
+is exactly the nondeterminism the refresh-aligned chunking was built to
+rule out.
 
-The check walks every submit/map dispatch site, resolves the dispatched
-callable within the module, and verifies it is a module-level ``def`` whose
-body neither declares ``global`` nor reads module-level names bound to
-mutable literals (list/dict/set).
+The check finds every ``Process(target=...)`` call, resolves the target
+within the module, and verifies it is a module-level ``def`` whose body
+neither declares ``global`` nor reads module-level names bound to mutable
+literals (list/dict/set).
 
-Dispatch targets *imported from another module* are invisible to the
-single-file walk, so the rule also summarises, per file, (a) the dispatch
-sites whose target is an imported name and (b) every module-level function's
+Targets *imported from another module* are invisible to the single-file
+walk, so the rule also summarises, per file, (a) the dispatch sites whose
+target is an imported name and (b) every module-level function's
 worker-safety facts (``global`` declarations, free reads of mutable module
 globals, nested-def names).  The project pass resolves each cross-module
 dispatch through the import table and applies the same checks at the
@@ -32,29 +32,17 @@ from typing import Any, Iterator
 
 from .base import FileContext, Rule, Violation, call_name, dotted_name
 
-_POOLISH_NAME_FRAGMENTS = ("pool", "executor", "workers")
-_POOL_CONSTRUCTORS = ("ProcessPoolExecutor", "ThreadPoolExecutor", "Pool")
-
-
-def _is_dispatch_call(node: ast.Call) -> bool:
-    """`<receiver>.submit(...)` always; `<receiver>.map(...)` only when the
-    receiver looks like an executor (name or constructor), so ordinary
-    ``df.map``/``str.map`` style calls stay out of scope."""
-    if not isinstance(node.func, ast.Attribute):
-        return False
-    attr = node.func.attr
-    receiver = node.func.value
-    if attr == "submit":
-        return True
-    if attr != "map":
-        return False
-    if isinstance(receiver, ast.Name):
-        lowered = receiver.id.lower()
-        return any(frag in lowered for frag in _POOLISH_NAME_FRAGMENTS)
-    if isinstance(receiver, ast.Call):
-        name = call_name(receiver) or ""
-        return name.split(".")[-1] in _POOL_CONSTRUCTORS
-    return False
+def _process_target(node: ast.AST) -> ast.expr | None:
+    """The ``target=`` of a ``Process(...)``/``ctx.Process(...)`` call."""
+    if not isinstance(node, ast.Call):
+        return None
+    name = call_name(node)
+    if name is None or name.split(".")[-1] != "Process":
+        return None
+    for keyword in node.keywords:
+        if keyword.arg == "target":
+            return keyword.value
+    return None
 
 
 def _module_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
@@ -141,13 +129,12 @@ class ParallelDispatchRule(Rule):
         checked: set[str] = set()
 
         for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.Call) and _is_dispatch_call(node)):
-                continue
-            if not node.args:
+            target = _process_target(node)
+            if target is None:
                 continue
             yield from self._check_target(
                 ctx,
-                node.args[0],
+                target,
                 module_funcs,
                 mutable_globals,
                 nested_names,
@@ -263,11 +250,9 @@ class ParallelDispatchRule(Rule):
         dispatches: list[list[Any]] = []
         if self.applies(ctx):
             for node in ast.walk(ctx.tree):
-                if not (isinstance(node, ast.Call) and _is_dispatch_call(node)):
+                target = _process_target(node)
+                if target is None:
                     continue
-                if not node.args:
-                    continue
-                target = node.args[0]
                 if isinstance(target, ast.Call):
                     name = call_name(target)
                     if name in ("partial", "functools.partial") and target.args:

@@ -26,13 +26,20 @@ from ..runtime.errors import (
 )
 from .chaos import DeliveryChaosModel
 from .envelope import SampleEnvelope, envelopes_from_matrix
-from .frontier import LATE_POLICIES, FrontierConfig, FrontierStats, IngestFrontier
+from .frontier import (
+    LATE_POLICIES,
+    FrontierConfig,
+    FrontierState,
+    FrontierStats,
+    IngestFrontier,
+)
 
 __all__ = [
     "SampleEnvelope",
     "envelopes_from_matrix",
     "LATE_POLICIES",
     "FrontierConfig",
+    "FrontierState",
     "FrontierStats",
     "IngestFrontier",
     "DeliveryChaosModel",

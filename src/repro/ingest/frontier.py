@@ -33,7 +33,8 @@ flush the same rows — that is the bit-identity contract
 ``benchmarks/bench_delivery.py`` soaks and ``tests/test_ingest*.py`` prove.
 
 State round-trips through :meth:`IngestFrontier.to_state` /
-:meth:`IngestFrontier.restore_state` (JSON-safe), which is how the
+:meth:`IngestFrontier.restore_state` (JSON-safe; :meth:`~IngestFrontier.parse_state`
+validates a snapshot without adopting it), which is how the
 supervisor checkpoints a frontier mid-reorder and a restarted process
 resumes it: redelivered envelopes for rows still pending dedup away, rows
 already flushed count as late, nothing double-feeds.
@@ -55,7 +56,13 @@ from ..runtime.errors import (
 )
 from .envelope import SampleEnvelope
 
-__all__ = ["LATE_POLICIES", "FrontierConfig", "FrontierStats", "IngestFrontier"]
+__all__ = [
+    "LATE_POLICIES",
+    "FrontierConfig",
+    "FrontierState",
+    "FrontierStats",
+    "IngestFrontier",
+]
 
 LATE_POLICIES = ("drop", "nan_patch")
 
@@ -177,6 +184,17 @@ class FrontierStats:
     pending_rows: int = 0
 
 
+@dataclass(frozen=True)
+class FrontierState:
+    """A validated frontier snapshot (:meth:`IngestFrontier.parse_state`)."""
+
+    next_emit: int
+    max_row: int
+    counters: dict[str, int]
+    #: Pending rows by grid position: (values, producer seq per cell).
+    pending: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
 class IngestFrontier:
     """Reorder/dedup/align frontier over one envelope stream (see module
     docstring).
@@ -236,7 +254,16 @@ class IngestFrontier:
         timestamp = envelope.timestamp
         if self._cfg.skew is not None:
             timestamp -= self._cfg.skew[envelope.sensor]
-        pos = int(round((timestamp - self._cfg.epoch) / self._cfg.period))
+        try:
+            pos = int(round((timestamp - self._cfg.epoch) / self._cfg.period))
+        except OverflowError:
+            # A finite timestamp can still land past float range once
+            # skew-corrected and divided by a tiny period.
+            raise EnvelopeValidationError(
+                "timestamp",
+                f"{envelope.timestamp} maps to a grid position beyond float "
+                f"range (epoch {self._cfg.epoch}, period {self._cfg.period})",
+            ) from None
         if pos < 0:
             raise EnvelopeValidationError(
                 "timestamp",
@@ -249,7 +276,7 @@ class IngestFrontier:
         """Stage one envelope; flushable rows come off :meth:`pop_ready`.
 
         Raises :class:`EnvelopeValidationError` for an out-of-range sensor
-        or a pre-epoch timestamp, :class:`SequenceConflictError` when
+        or a pre-epoch or off-grid timestamp, :class:`SequenceConflictError` when
         dedup detects inconsistent producer numbering.  Duplicate and late
         envelopes are absorbed silently (counted, never raised): both are
         normal delivery weather, not errors.
@@ -366,8 +393,9 @@ class IngestFrontier:
             },
         }
 
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Adopt a :meth:`to_state` snapshot (checkpoint resume path)."""
+    def parse_state(self, state: dict[str, Any]) -> FrontierState:
+        """Validate a :meth:`to_state` snapshot against this frontier's
+        config without adopting it; raises :class:`FrontierStateError`."""
         if not isinstance(state, dict) or state.get("format") != _STATE_FORMAT:
             raise FrontierStateError(f"not a frontier state payload: {state!r:.80}")
         if state.get("version") != _STATE_VERSION:
@@ -410,8 +438,19 @@ class IngestFrontier:
             raise FrontierStateError(
                 f"pending rows outside [{next_emit}, {max_row}]"
             )
-        self._next_emit = next_emit
-        self._set_max_row(max_row)
-        self._pending = {pos: (pending[pos], pending_seq[pos]) for pos in pending}
-        for name, count in counters.items():
+        return FrontierState(
+            next_emit,
+            max_row,
+            counters,
+            {pos: (pending[pos], pending_seq[pos]) for pos in pending},
+        )
+
+    def restore_state(self, state: dict[str, Any] | FrontierState) -> None:
+        """Adopt a :meth:`to_state` snapshot (checkpoint resume path),
+        parsing it first unless :meth:`parse_state` already did."""
+        parsed = state if isinstance(state, FrontierState) else self.parse_state(state)
+        self._next_emit = parsed.next_emit
+        self._set_max_row(parsed.max_row)
+        self._pending = dict(parsed.pending)
+        for name, count in parsed.counters.items():
             setattr(self, name, count)

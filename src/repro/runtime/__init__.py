@@ -27,7 +27,6 @@ from .errors import (
     RecoveryError,
     RetryBudgetExceededError,
     RoundCrashError,
-    RoundTimeoutError,
     SequenceConflictError,
     SupervisorError,
     TransientRoundError,
@@ -63,7 +62,6 @@ __all__ = [
     "SequenceConflictError",
     "RetryBudgetExceededError",
     "RoundCrashError",
-    "RoundTimeoutError",
     "SupervisorError",
     "TransientRoundError",
     "HealthSnapshot",

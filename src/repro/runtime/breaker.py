@@ -134,12 +134,35 @@ class SensorBreaker:
 
     @classmethod
     def from_state(cls, policy: BreakerPolicy, state: dict[str, Any]) -> "SensorBreaker":
+        """Rebuild a breaker from :meth:`to_state`.
+
+        Raises :class:`ConfigurationError` when ``state`` is not such a
+        payload: an unknown state, or a counter that is missing or not a
+        non-negative integer.
+        """
+        try:
+            breaker_state = BreakerState(state["state"])
+            counters = (
+                state["consecutive_failures"],
+                state["rounds_open"],
+                state["clean_probation_rounds"],
+                state["times_opened"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed breaker state {state!r:.80}") from exc
+        if not all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 0
+            for v in counters
+        ):
+            raise ConfigurationError(f"malformed breaker counters {state!r:.80}")
         breaker = cls(policy)
-        breaker.state = BreakerState(state["state"])
-        breaker.consecutive_failures = int(state["consecutive_failures"])
-        breaker.rounds_open = int(state["rounds_open"])
-        breaker.clean_probation_rounds = int(state["clean_probation_rounds"])
-        breaker.times_opened = int(state["times_opened"])
+        breaker.state = breaker_state
+        (
+            breaker.consecutive_failures,
+            breaker.rounds_open,
+            breaker.clean_probation_rounds,
+            breaker.times_opened,
+        ) = counters
         return breaker
 
 

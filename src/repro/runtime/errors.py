@@ -16,10 +16,12 @@ code switches on exception class instead of string-matching messages:
     replaces).
 ``TransientRoundError``
     A round failed in a way worth retrying (the supervisor restores the
-    last valid checkpoint, replays, backs off and re-attempts).  Subtypes:
-    ``RoundTimeoutError`` (watchdog deadline exceeded) and
+    last valid checkpoint, replays, backs off and re-attempts).  Subtype:
     ``RoundCrashError`` (the round died mid-flight — in production an
-    abrupt process exit, in the chaos harness an injected crash).
+    abrupt process exit, in the chaos harness an injected crash).  A round
+    that merely overruns ``round_deadline`` raises nothing: the watchdog
+    counts it in ``slow_rounds``, discards the late record, restores and
+    re-attempts it, and accepts it once the retry budget is spent.
 ``RetryBudgetExceededError``
     A round kept failing past ``RetryPolicy.max_retries``; the stream
     cannot make progress and the failure is surfaced to the operator.
@@ -64,7 +66,6 @@ __all__ = [
     "ConfigurationError",
     "QueueEmptyError",
     "TransientRoundError",
-    "RoundTimeoutError",
     "RoundCrashError",
     "RetryBudgetExceededError",
     "RecoveryError",
@@ -118,21 +119,6 @@ class TransientRoundError(SupervisorError):
         self.round_index = round_index
         self.attempt = attempt
         self.reason = reason
-
-
-class RoundTimeoutError(TransientRoundError):
-    """The watchdog deadline elapsed before the round completed."""
-
-    def __init__(
-        self, round_index: int, attempt: int, elapsed: float, deadline: float
-    ) -> None:
-        super().__init__(
-            round_index,
-            attempt,
-            f"took {elapsed:.3f}s against a {deadline:.3f}s deadline",
-        )
-        self.elapsed = elapsed
-        self.deadline = deadline
 
 
 class RoundCrashError(TransientRoundError):

@@ -44,7 +44,7 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..core.checkpoint import (
     CheckpointError,
@@ -77,12 +77,14 @@ class RecoveredStream:
     """Result of a successful recovery scan.
 
     ``skipped`` lists the newer generations that had to be passed over
-    because their archive or sidecar was corrupt.
+    because their archive or sidecar was corrupt.  ``runtime_state`` is
+    the sidecar's runtime payload as ``recover``'s ``parse_runtime``
+    returned it.
     """
 
     stream: StreamingCAD
     generation: Generation
-    runtime_state: dict[str, Any]
+    runtime_state: Any
     skipped: tuple[Path, ...]
 
 
@@ -219,8 +221,15 @@ class CheckpointRotation:
                 counts.append(payload["samples_seen"])
         return min(counts) if counts else 0
 
-    def recover(self) -> RecoveredStream | None:
+    def recover(
+        self, parse_runtime: Callable[[dict[str, Any]], Any] = dict
+    ) -> RecoveredStream | None:
         """Restore the newest *valid* generation, falling back past corrupt ones.
+
+        ``parse_runtime`` turns the sidecar's ``runtime`` payload into the
+        caller's own state before anything is adopted; a ``None`` result
+        marks the generation corrupt, exactly like a torn archive.  The
+        default keeps a copy of the raw payload.
 
         Returns None when the directory holds no recoverable generation at
         all (including the empty/fresh-start case).
@@ -228,7 +237,10 @@ class CheckpointRotation:
         skipped: list[Path] = []
         for generation in self.generations():
             payload = self._read_sidecar(generation.sidecar)
-            if payload is None:
+            runtime_state = (
+                parse_runtime(payload["runtime"]) if payload is not None else None
+            )
+            if runtime_state is None:
                 skipped.append(generation.sidecar)
                 continue
             try:
@@ -244,7 +256,7 @@ class CheckpointRotation:
             return RecoveredStream(
                 stream=stream,
                 generation=generation,
-                runtime_state=dict(payload["runtime"]),
+                runtime_state=runtime_state,
                 skipped=tuple(skipped),
             )
         return None

@@ -57,7 +57,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # imported lazily to keep repro.ingest <-> runtime acyclic
     from ..ingest.envelope import SampleEnvelope
-    from ..ingest.frontier import IngestFrontier
+    from ..ingest.frontier import FrontierState, IngestFrontier
 
 from ..core.config import CADConfig
 from ..core.parallel import pool_generation, restore_pool_generation
@@ -71,6 +71,7 @@ from .chaos import ChaosModel
 from .clock import Clock, MonotonicClock
 from .errors import (
     ConfigurationError,
+    FrontierStateError,
     RecoveryError,
     RetryBudgetExceededError,
     RoundCrashError,
@@ -80,6 +81,30 @@ from .queue import SHED_POLICIES, IngestQueue
 from .rotation import CheckpointRotation, RecoveredStream
 
 __all__ = ["SupervisorConfig", "StreamSupervisor"]
+
+
+def _sidecar_int(value: Any, name: str, minimum: int = 0) -> int:
+    """``value`` if it is a JSON integer ``>= minimum``; raises otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(
+            f"runtime sidecar field {name!r} is {value!r:.40}, expected an "
+            f"integer >= {minimum}"
+        )
+    return value
+
+
+@dataclass(frozen=True)
+class _RuntimeState:
+    """A checkpoint sidecar's runtime payload, parsed strictly before any
+    of it is adopted (see ``StreamSupervisor._restore_runtime_state``)."""
+
+    frontier: "FrontierState | None"
+    breakers: BreakerBank
+    nan_counts: np.ndarray
+    segment_len: int
+    max_emitted_index: int
+    pool_generation: int
+    health: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -259,7 +284,7 @@ class StreamSupervisor:
         self._pipeline_stale = False
 
         if resume and self._rotation is not None:
-            restored = self._rotation.recover()
+            restored = self._rotation.recover(self._restore_runtime_state)
             if restored is not None:
                 self._adopt_recovered(restored)
 
@@ -799,46 +824,102 @@ class StreamSupervisor:
         self._pipeline_stale = False
         self._replay_base = restored.stream.samples_seen
         self._replay_raw.clear()
-        self._restore_runtime_state(restored.runtime_state, process_restart=True)
+        self._adopt_runtime_state(restored.runtime_state, process_restart=True)
         self._last_checkpoint_round = restored.generation.round_index
         self._rounds_since_checkpoint = 0
 
-    def _restore_runtime_state(
-        self, state: dict[str, Any], *, process_restart: bool = False
-    ) -> None:
+    def _restore_runtime_state(self, state: dict[str, Any]) -> _RuntimeState | None:
+        """Parse a sidecar's runtime payload without adopting any of it.
+
+        A key an older sidecar lacks takes its default; a key that is
+        present but malformed (wrong type, wrong length, negative count,
+        unknown breaker state, corrupt frontier) returns None, so
+        :meth:`CheckpointRotation.recover` falls back past the generation.
+        The name pairs this reader with :meth:`_runtime_state` for R11's
+        save/load key-symmetry check.
+        """
+        try:
+            return self._parse_runtime_state(state)
+        except (ConfigurationError, FrontierStateError):
+            return None
+
+    def _parse_runtime_state(self, state: dict[str, Any]) -> _RuntimeState:
+        n = self._n_sensors
         breakers = state.get("breakers")
-        if isinstance(breakers, list) and len(breakers) == self._n_sensors:
-            self._bank = BreakerBank.from_state(self._sup.breaker, breakers)
+        if breakers is None:
+            bank = BreakerBank(n, self._sup.breaker)
+        elif isinstance(breakers, list) and len(breakers) == n:
+            bank = BreakerBank.from_state(self._sup.breaker, breakers)
         else:
-            self._bank = BreakerBank(self._n_sensors, self._sup.breaker)
+            raise ConfigurationError(f"runtime sidecar holds no {n} breaker states")
         counts = state.get("nan_counts")
-        if isinstance(counts, list) and len(counts) == self._n_sensors:
-            self._nan_counts = np.asarray(counts, dtype=np.int64)
+        if counts is None:
+            nan_counts = np.zeros(n, dtype=np.int64)
+        elif isinstance(counts, list) and len(counts) == n:
+            nan_counts = np.array(
+                [_sidecar_int(c, "nan_counts") for c in counts], dtype=np.int64
+            )
         else:
-            self._nan_counts = np.zeros(self._n_sensors, dtype=np.int64)
+            raise ConfigurationError(f"runtime sidecar holds no {n} NaN counts")
+        frontier_state = state.get("frontier")
+        frontier = (
+            self._frontier.parse_state(frontier_state)
+            if self._frontier is not None and frontier_state is not None
+            else None
+        )
+        health = state.get("health", {})
+        if not isinstance(health, dict):
+            raise ConfigurationError("runtime sidecar health is not an object")
+        counters: dict[str, int] = {}
+        for name in (
+            "rounds_completed",
+            "degraded_rounds",
+            "retries",
+            "slow_rounds",
+            "crashes_recovered",
+            "checkpoints_written",
+        ):
+            counters[name] = _sidecar_int(health.get(name, 0), name)
+        return _RuntimeState(
+            frontier=frontier,
+            breakers=bank,
+            nan_counts=nan_counts,
+            segment_len=_sidecar_int(state.get("segment_len", 0), "segment_len"),
+            max_emitted_index=_sidecar_int(
+                state.get("max_emitted_index", -1), "max_emitted_index", -1
+            ),
+            pool_generation=_sidecar_int(
+                state.get("pool_generation", 0), "pool_generation"
+            ),
+            health=counters,
+        )
+
+    def _adopt_runtime_state(
+        self, state: _RuntimeState, *, process_restart: bool = False
+    ) -> None:
+        self._bank = state.breakers
+        self._nan_counts = state.nan_counts
         self._refresh_mask()
-        segment_len = int(state.get("segment_len", 0))
-        self._segment_start = self._stream.samples_seen - segment_len
+        self._segment_start = self._stream.samples_seen - state.segment_len
         self._counted_upto = self._stream.samples_seen
         self._max_emitted_index = max(
-            self._max_emitted_index, int(state.get("max_emitted_index", -1))
+            self._max_emitted_index, state.max_emitted_index
         )
-        restore_pool_generation(int(state.get("pool_generation", 0)))
+        restore_pool_generation(state.pool_generation)
         if process_restart:
             # Frontier reorder state resumes only across process death: an
             # in-process retry keeps the *live* frontier, because rows it
             # already flushed sit in the replay buffer and rewinding it
             # would re-flush them on the next envelope.
-            frontier_state = state.get("frontier")
-            if self._frontier is not None and frontier_state is not None:
-                self._frontier.restore_state(frontier_state)
-            health = state.get("health", {})
-            self._rounds_completed = int(health.get("rounds_completed", 0))
-            self._degraded_rounds = int(health.get("degraded_rounds", 0))
-            self._retries = int(health.get("retries", 0))
-            self._slow_rounds = int(health.get("slow_rounds", 0))
-            self._crashes_recovered = int(health.get("crashes_recovered", 0))
-            self._checkpoints_written = int(health.get("checkpoints_written", 0))
+            if self._frontier is not None and state.frontier is not None:
+                self._frontier.restore_state(state.frontier)
+            health = state.health
+            self._rounds_completed = health["rounds_completed"]
+            self._degraded_rounds = health["degraded_rounds"]
+            self._retries = health["retries"]
+            self._slow_rounds = health["slow_rounds"]
+            self._crashes_recovered = health["crashes_recovered"]
+            self._checkpoints_written = health["checkpoints_written"]
 
     def _recover_and_replay(self, round_index: int, attempt: int) -> None:
         """Back off, restore the newest valid state, replay up to the
@@ -856,10 +937,14 @@ class StreamSupervisor:
         Either way the stream object is rebuilt in-process, so the local
         stage-A pipeline comes out live.
         """
-        restored = self._rotation.recover() if self._rotation is not None else None
+        restored = (
+            self._rotation.recover(self._restore_runtime_state)
+            if self._rotation is not None
+            else None
+        )
         if restored is not None:
             self._stream = restored.stream
-            self._restore_runtime_state(restored.runtime_state)
+            self._adopt_runtime_state(restored.runtime_state)
             skip = restored.stream.samples_seen - self._replay_base
             if skip < 0:
                 raise RecoveryError(

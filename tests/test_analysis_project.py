@@ -1,5 +1,5 @@
 """Whole-program analysis tests: the project index / call graph, the
-cross-file rules R11-R14, the SARIF emitter, and the pragma-parser
+cross-file rules R11, R13 and R14, R5's cross-module pass, the SARIF emitter, and the pragma-parser
 regressions.
 
 Each rule gets a miniature on-disk project (packages with real
@@ -25,6 +25,7 @@ from repro.analysis.project import (
     summarize_module,
 )
 from repro.analysis.sarif import sarif_report
+from tests.conftest import REGISTERED_RULE_IDS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -352,140 +353,6 @@ class TestR11VersionCoverage:
 
 
 # --------------------------------------------------------------------- #
-# R12 — lock/queue acquisition-order cycles
-# --------------------------------------------------------------------- #
-
-
-class TestR12LockOrder:
-    def test_consistent_order_is_clean(self, tmp_path):
-        write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/locks.py": """\
-                import threading
-
-                A = threading.Lock()
-                B = threading.Lock()
-
-                def first():
-                    with A:
-                        with B:
-                            pass
-
-                def second():
-                    with A:
-                        with B:
-                            pass
-                """,
-        })
-        assert findings(tmp_path, "R12") == []
-
-    def test_opposite_orders_in_one_module_flagged(self, tmp_path):
-        write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/locks.py": """\
-                import threading
-
-                A = threading.Lock()
-                B = threading.Lock()
-
-                def ab():
-                    with A:
-                        with B:
-                            pass
-
-                def ba():
-                    with B:
-                        with A:
-                            pass
-                """,
-        })
-        hits = findings(tmp_path, "R12")
-        assert hits, "AB/BA inversion not reported"
-        assert any("cycle" in v.message for v in hits)
-
-    def test_cross_module_cycle_via_call_graph(self, tmp_path):
-        """alpha holds its lock and calls into beta (and vice versa): the
-        cycle only exists through the resolved call graph."""
-        write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/alpha.py": """\
-                import threading
-
-                from . import beta
-
-                A = threading.Lock()
-
-                def grab():
-                    with A:
-                        pass
-
-                def outer():
-                    with A:
-                        beta.grab()
-                """,
-            "pkg/beta.py": """\
-                import threading
-
-                from . import alpha
-
-                B = threading.Lock()
-
-                def grab():
-                    with B:
-                        pass
-
-                def outer():
-                    with B:
-                        alpha.grab()
-                """,
-        })
-        hits = findings(tmp_path, "R12")
-        assert hits, "cross-module acquisition cycle not reported"
-        assert any("pkg.alpha.A" in v.message for v in hits)
-        assert any("pkg.beta.B" in v.message for v in hits)
-
-    def test_self_reacquire_of_plain_lock_flagged(self, tmp_path):
-        write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/locks.py": """\
-                import threading
-
-                A = threading.Lock()
-
-                def twice():
-                    with A:
-                        with A:
-                            pass
-                """,
-        })
-        hits = findings(tmp_path, "R12")
-        assert len(hits) == 1
-        assert "self-deadlock" in hits[0].message
-
-    def test_self_reacquire_of_rlock_is_clean(self, tmp_path):
-        write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/locks.py": """\
-                import threading
-
-                A = threading.RLock()
-
-                def twice():
-                    with A:
-                        with A:
-                            pass
-                """,
-        })
-        assert findings(tmp_path, "R12") == []
-
-    def test_real_runtime_has_no_cycles(self):
-        """Acceptance: R12 reports zero lock-order cycles on the real
-        codebase (repro.runtime + repro.core.parallel)."""
-        report = analyze_paths([str(REPO_ROOT / "src" / "repro")])
-        assert [v for v in report.violations if v.rule == "R12"] == []
-
-
-# --------------------------------------------------------------------- #
 # R13 — config / CLI / docs drift
 # --------------------------------------------------------------------- #
 
@@ -735,16 +602,17 @@ class TestR5CrossModule:
             "pkg/workers.py": """\
                 COUNTER = []
 
-                def bad_worker(chunk):
+                def bad_worker(tasks):
                     global COUNTER
-                    COUNTER = [chunk]
-                    return chunk
+                    COUNTER = [tasks.get()]
                 """,
             "pkg/driver.py": """\
+                import multiprocessing as mp
+
                 from .workers import bad_worker
 
-                def dispatch(pool, chunks):
-                    return [pool.submit(bad_worker, c) for c in chunks]
+                def start(tasks):
+                    return mp.Process(target=bad_worker, args=(tasks,))
                 """,
         })
         hits = [
@@ -759,14 +627,16 @@ class TestR5CrossModule:
         write_tree(tmp_path, {
             "pkg/__init__.py": "",
             "pkg/workers.py": """\
-                def good_worker(chunk):
-                    return chunk * 2
+                def good_worker(tasks):
+                    return tasks.get() * 2
                 """,
             "pkg/driver.py": """\
+                import multiprocessing as mp
+
                 from .workers import good_worker
 
-                def dispatch(pool, chunks):
-                    return [pool.submit(good_worker, c) for c in chunks]
+                def start(tasks):
+                    return mp.Process(target=good_worker, args=(tasks,))
                 """,
         })
         assert [
@@ -801,7 +671,7 @@ class TestSarif:
         run = sarif["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro.analysis"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {f"R{i}" for i in range(1, 15)} <= rule_ids
+        assert rule_ids == {"PARSE", *REGISTERED_RULE_IDS}
         result = run["results"][0]
         assert result["ruleId"] == "R11"
         assert result["level"] == "error"

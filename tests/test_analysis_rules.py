@@ -6,6 +6,8 @@ import textwrap
 import pytest
 
 from repro.analysis import ALL_RULES, RULES_BY_ID, analyze_source
+from repro.analysis.rules import ProjectRule
+from tests.conftest import REGISTERED_RULE_IDS
 
 SRC = "src/repro/core/example.py"  # in scope for every path-scoped rule
 
@@ -19,9 +21,9 @@ def rules_fired(source, relpath=SRC):
 
 
 class TestRegistry:
-    def test_eight_rules_registered(self):
-        assert len(ALL_RULES) >= 8
-        assert {f"R{i}" for i in range(1, 9)} <= set(RULES_BY_ID)
+    def test_registry_is_pinned(self):
+        assert len(ALL_RULES) == len(REGISTERED_RULE_IDS)
+        assert set(RULES_BY_ID) == REGISTERED_RULE_IDS
 
     def test_rules_have_rationales(self):
         for rule in ALL_RULES:
@@ -190,79 +192,96 @@ class TestR4WallClock:
 
 
 class TestR5ParallelDispatch:
-    def test_lambda_submit_flagged(self):
+    def test_lambda_target_flagged(self):
         assert "R5" in rules_fired(
             """
-            def run(pool, xs):
-                return [pool.submit(lambda x: x + 1, x) for x in xs]
+            import multiprocessing as mp
+
+            def start():
+                return mp.Process(target=lambda: None)
             """
         )
 
     def test_nested_function_flagged(self):
         assert "R5" in rules_fired(
             """
-            def run(pool, xs):
-                def work(x):
-                    return x + 1
-                return [pool.submit(work, x) for x in xs]
+            import multiprocessing as mp
+
+            def start(queue):
+                def work(q):
+                    q.put(1)
+                return mp.Process(target=work, args=(queue,))
             """
         )
 
     def test_bound_method_flagged(self):
         assert "R5" in rules_fired(
             """
+            import multiprocessing as mp
+
             class Runner:
-                def go(self, pool, xs):
-                    return [pool.submit(self.work, x) for x in xs]
+                def start(self, queue):
+                    return mp.Process(target=self.work, args=(queue,))
             """
         )
 
     def test_worker_reading_mutable_global_flagged(self):
         assert "R5" in rules_fired(
             """
+            import multiprocessing as mp
+
             _CACHE = {}
 
-            def work(x):
-                return _CACHE.get(x, x)
+            def work(queue):
+                queue.put(_CACHE.get(queue.get()))
 
-            def run(pool, xs):
-                return [pool.submit(work, x) for x in xs]
+            def start(queue):
+                return mp.Process(target=work, args=(queue,))
             """
         )
 
     def test_worker_declaring_global_flagged(self):
         assert "R5" in rules_fired(
             """
+            import multiprocessing as mp
+
             _TOTAL = 0
 
-            def work(x):
+            def work(queue):
                 global _TOTAL
-                _TOTAL += x
-                return _TOTAL
+                _TOTAL += queue.get()
 
-            def run(pool, xs):
-                return [pool.submit(work, x) for x in xs]
+            def start(queue):
+                return mp.Process(target=work, args=(queue,))
             """
         )
 
     def test_module_level_pure_worker_clean(self):
         assert "R5" not in rules_fired(
             """
+            import multiprocessing as mp
+
             _LIMIT = 16
 
-            def work(config, x):
-                return min(x + config.offset, _LIMIT)
+            def work(tasks, results):
+                results.put(min(tasks.get(), _LIMIT))
 
-            def run(pool, config, xs):
-                return [pool.submit(work, config, x) for x in xs]
+            def start(tasks, results):
+                return mp.Process(target=work, args=(tasks, results))
             """
         )
 
-    def test_executor_map_flagged(self):
+    def test_context_process_target_flagged(self):
         assert "R5" in rules_fired(
             """
-            def run(executor, xs):
-                return list(executor.map(lambda x: x * 2, xs))
+            import multiprocessing as mp
+
+            class Pool:
+                def __init__(self):
+                    self._ctx = mp.get_context("spawn")
+
+                def start(self):
+                    return self._ctx.Process(target=lambda: None, daemon=True)
             """
         )
 
@@ -271,21 +290,35 @@ class TestR5ParallelDispatch:
             "doubled = list(map(lambda x: x * 2, [1, 2]))\n"
         )
 
+    def test_submit_and_thread_targets_ignored(self):
+        assert "R5" not in rules_fired(
+            """
+            import threading
+
+            def run(supervisor, sample):
+                supervisor.submit(lambda: sample)
+                return threading.Thread(target=lambda: None)
+            """
+        )
+
     def test_partial_of_lambda_flagged(self):
         assert "R5" in rules_fired(
             """
+            import multiprocessing as mp
             from functools import partial
 
-            def run(pool, xs):
-                return [pool.submit(partial(lambda x, y: x + y, 1), x) for x in xs]
+            def start():
+                return mp.Process(target=partial(lambda x: x, 1))
             """
         )
 
     def test_noqa_suppresses(self):
         assert "R5" not in rules_fired(
             """
-            def run(pool, xs):
-                return [pool.submit(lambda x: x, x) for x in xs]  # repro: noqa[R5] thread pool only
+            import multiprocessing as mp
+
+            def start():
+                return mp.Process(target=lambda: None)  # repro: noqa[R5] fork only
             """
         )
 
@@ -480,114 +513,6 @@ class TestR9IngestClock:
         )
 
 
-class TestR10SharedMemoryLifecycle:
-    def test_attach_without_finally_close_flagged(self):
-        assert "R10" in rules_fired(
-            """
-            from multiprocessing import shared_memory
-
-            def read(name):
-                shm = shared_memory.SharedMemory(name=name)
-                value = float(shm.buf[0])
-                shm.close()
-                return value
-            """
-        )
-
-    def test_create_without_finally_unlink_flagged(self):
-        assert "R10" in rules_fired(
-            """
-            from multiprocessing import shared_memory
-
-            def stage(n):
-                shm = shared_memory.SharedMemory(name="slot", create=True, size=n)
-                try:
-                    shm.buf[0] = 1
-                finally:
-                    shm.close()
-            """
-        )
-
-    def test_close_and_unlink_in_finally_clean(self):
-        assert "R10" not in rules_fired(
-            """
-            from multiprocessing import shared_memory
-
-            def stage(n):
-                shm = shared_memory.SharedMemory(name="slot", create=True, size=n)
-                try:
-                    shm.buf[0] = 1
-                finally:
-                    try:
-                        shm.close()
-                    finally:
-                        shm.unlink()
-            """
-        )
-
-    def test_attach_with_finally_close_clean(self):
-        assert "R10" not in rules_fired(
-            """
-            from multiprocessing import shared_memory
-
-            def read(name):
-                shm = shared_memory.SharedMemory(name=name)
-                try:
-                    return float(shm.buf[0])
-                finally:
-                    shm.close()
-            """
-        )
-
-    def test_ownership_transfer_clean(self):
-        # Stored into a container: lifecycle belongs to the container's
-        # owner (e.g. a pool shutdown path), not this scope.
-        assert "R10" not in rules_fired(
-            """
-            from multiprocessing import shared_memory
-
-            def attach(slots, name):
-                shm = shared_memory.SharedMemory(name=name)
-                slots[name] = shm
-            """
-        )
-
-    def test_buffer_view_is_not_an_escape(self):
-        # Passing shm.buf out does NOT transfer the close obligation.
-        assert "R10" in rules_fired(
-            """
-            import numpy as np
-            from multiprocessing import shared_memory
-
-            def read(name, shape):
-                shm = shared_memory.SharedMemory(name=name)
-                arr = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-                total = float(arr.sum())
-                del arr
-                shm.close()
-                return total
-            """
-        )
-
-    def test_tests_are_out_of_scope(self):
-        assert "R10" not in rules_fired(
-            "from multiprocessing import shared_memory\n"
-            "def f(n):\n"
-            "    shm = shared_memory.SharedMemory(name=n)\n"
-            "    shm.close()\n",
-            "tests/test_pool.py",
-        )
-
-    def test_noqa_suppresses(self):
-        assert "R10" not in rules_fired(
-            "from multiprocessing import shared_memory\n"
-            "def f(n):\n"
-            "    shm = shared_memory.SharedMemory(name=n)  "
-            "# repro: noqa[R10] probe only\n"
-            "    shm.close()\n"
-        )
-
-
 class TestPragmas:
     def test_bare_noqa_suppresses_all_rules(self):
         assert (
@@ -610,17 +535,21 @@ class TestPragmas:
         assert "R6" not in fired
 
 
-@pytest.mark.parametrize("rule_id", sorted(f"R{i}" for i in range(1, 11)))
+@pytest.mark.parametrize(
+    "rule_id",
+    sorted(rule.rule_id for rule in ALL_RULES if not isinstance(rule, ProjectRule)),
+)
 def test_every_rule_has_a_firing_fixture(rule_id):
-    """Meta-test: the fixtures above collectively exercise every rule."""
+    """Meta-test: every per-file rule in the registry has a fixture that
+    fires it (project rules are exercised in test_analysis_project.py)."""
     fixtures = {
         "R1": ("vals = list({1, 2, 3})\n", SRC),
         "R2": ("ok = x == 0.5\n", SRC),
         "R3": ("import random\n", SRC),
         "R4": ("import time\nt = time.time()\n", SRC),
         "R5": (
-            "def run(pool, xs):\n"
-            "    return [pool.submit(lambda x: x, x) for x in xs]\n",
+            "import multiprocessing as mp\n"
+            "p = mp.Process(target=lambda: None)\n",
             SRC,
         ),
         "R6": ("def f(a=[]):\n    return a\n", SRC),
@@ -629,15 +558,6 @@ def test_every_rule_has_a_firing_fixture(rule_id):
         "R9": (
             "import time\nnow = time.time()\n",
             "src/repro/ingest/frontier.py",
-        ),
-        "R10": (
-            "from multiprocessing import shared_memory\n"
-            "def f(n):\n"
-            "    shm = shared_memory.SharedMemory(name=n)\n"
-            "    x = float(shm.buf[0])\n"
-            "    shm.close()\n"
-            "    return x\n",
-            SRC,
         ),
     }
     source, relpath = fixtures[rule_id]

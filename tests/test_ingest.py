@@ -236,6 +236,27 @@ class TestFrontierBasics:
         with pytest.raises(EnvelopeValidationError, match="epoch"):
             frontier.push(SampleEnvelope(sensor=0, seq=0, timestamp=50.0, value=0.0))
 
+    @pytest.mark.parametrize(
+        "config, timestamp",
+        [
+            (FrontierConfig(n_sensors=2, period=1e-308), 10.0),
+            (FrontierConfig(n_sensors=2, skew=(1e308, 0.0)), -1.7e308),
+        ],
+        ids=["tiny-period", "skew-past-float-range"],
+    )
+    def test_grid_position_overflow_raises_typed_and_leaves_state(
+        self, config, timestamp
+    ):
+        frontier = IngestFrontier(config)
+        frontier.push(SampleEnvelope(sensor=1, seq=0, timestamp=0.0, value=1.0))
+        before = frontier.to_state()
+        with pytest.raises(EnvelopeValidationError, match="timestamp") as info:
+            frontier.push(
+                SampleEnvelope(sensor=0, seq=1, timestamp=timestamp, value=0.0)
+            )
+        assert info.value.field == "timestamp"
+        assert frontier.to_state() == before
+
     def test_non_envelope_push_raises(self):
         frontier = IngestFrontier(FrontierConfig(n_sensors=1))
         with pytest.raises(EnvelopeValidationError):

@@ -6,6 +6,9 @@ stalls, torn checkpoints, process death + resume) asserts the emitted
 ``RoundRecord`` sequence is bit-identical to the plain unsupervised run.
 """
 
+import json
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from tests.conftest import correlated_values
 from repro.core import CADConfig, StreamingCAD
 from repro.datasets import FaultModel
+from repro.ingest import FrontierConfig, IngestFrontier
 from repro.runtime import (
     BreakerPolicy,
     BreakerState,
@@ -365,6 +369,144 @@ class TestProcessDeathResume:
                 default=-1,
             )
         assert [r.index for r in after] == sorted({r.index for r in after})
+
+
+def _set_runtime(key, value):
+    def mutate(runtime):
+        runtime[key] = value
+
+    return mutate
+
+
+def _set_breaker(key, value):
+    def mutate(runtime):
+        runtime["breakers"][0][key] = value
+
+    return mutate
+
+
+def _drop_breaker_key(key):
+    def mutate(runtime):
+        del runtime["breakers"][0][key]
+
+    return mutate
+
+
+def _set_health(key, value):
+    def mutate(runtime):
+        runtime["health"][key] = value
+
+    return mutate
+
+
+def _shorten(key):
+    def mutate(runtime):
+        runtime[key] = runtime[key][:-1]
+
+    return mutate
+
+
+SIDECAR_MUTATIONS = {
+    "segment_len-str": _set_runtime("segment_len", "x"),
+    "max_emitted_index-list": _set_runtime("max_emitted_index", [1]),
+    "pool_generation-null": _set_runtime("pool_generation", None),
+    "breaker-bogus-state": _set_breaker("state", "bogus"),
+    "breaker-missing-rounds_open": _drop_breaker_key("rounds_open"),
+    "health-retries-str": _set_health("retries", "many"),
+    "nan_counts-str": _set_runtime("nan_counts", "0,0,0,0,0,0,0,0"),
+    "frontier-garbage": _set_runtime("frontier", {"format": "garbage"}),
+    "breakers-one-short": _shorten("breakers"),
+    "nan_counts-one-short": _shorten("nan_counts"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SIDECAR_MUTATIONS))
+def test_malformed_runtime_sidecar_falls_back_a_generation(feed, tmp_path, mutation):
+    """A well-formed JSON sidecar whose runtime payload is malformed marks
+    its generation corrupt: resume lands on the previous generation, with
+    that generation's breaker states (an open breaker included)."""
+    history, live = feed
+    live = live.copy()
+    live[5, 100:400] = np.nan  # hard dropout -> sensor 5's breaker opens
+    sup_config = SupervisorConfig(
+        breaker=BreakerPolicy(failure_threshold=2, open_rounds=50, probation_rounds=2),
+        checkpoint_every=4,
+        keep_checkpoints=3,
+    )
+
+    def build():
+        return make_supervisor(
+            sup_config,
+            checkpoint_dir=tmp_path,
+            frontier=IngestFrontier(FrontierConfig(n_sensors=N_SENSORS)),
+        )
+
+    first = build()
+    first.warm_up(history)
+    first.process_many(live[:, :300])
+    first.rotation.join_reclaim()
+    newest, previous = first.rotation.generations()[:2]
+    del first
+
+    kept = json.loads(previous.sidecar.read_text())
+    assert BreakerState.OPEN.value in {b["state"] for b in kept["runtime"]["breakers"]}
+    payload = json.loads(newest.sidecar.read_text())
+    SIDECAR_MUTATIONS[mutation](payload["runtime"])
+    newest.sidecar.write_text(json.dumps(payload))
+
+    resumed = build()
+    assert resumed.stream.samples_seen == kept["samples_seen"]
+    assert resumed.breakers.to_state() == kept["runtime"]["breakers"]
+
+
+@dataclass(frozen=True)
+class _CrashOnceAt(ChaosModel):
+    """Crash the first attempt of one round, nothing else."""
+
+    crash_round: int = -1
+
+    def round_fate(self, round_index, attempt):
+        return "crash" if (round_index, attempt) == (self.crash_round, 0) else None
+
+
+@pytest.mark.parametrize("mutation", sorted(SIDECAR_MUTATIONS))
+def test_malformed_runtime_sidecar_is_skipped_by_in_process_recovery(
+    feed, tmp_path, mutation
+):
+    """A crash right after the newest sidecar went bad recovers from the
+    previous generation and replays to the same records and breakers."""
+    history, live = feed
+    live = live.copy()
+    live[5, 100:400] = np.nan
+    sup_config = SupervisorConfig(
+        breaker=BreakerPolicy(failure_threshold=2, open_rounds=50, probation_rounds=2),
+        checkpoint_every=4,
+        keep_checkpoints=3,
+    )
+    plain = make_supervisor(sup_config)
+    plain.warm_up(history)
+    expected = plain.process_many(live[:, :300])
+    crash_round = plain.stream.detector.rounds_processed
+    expected += plain.process_many(live[:, 300:400])
+
+    supervisor = make_supervisor(
+        sup_config,
+        checkpoint_dir=tmp_path,
+        chaos=_CrashOnceAt(crash_round=crash_round),
+        frontier=IngestFrontier(FrontierConfig(n_sensors=N_SENSORS)),
+    )
+    supervisor.warm_up(history)
+    records = supervisor.process_many(live[:, :300])
+    supervisor.rotation.join_reclaim()
+    newest = supervisor.rotation.generations()[0]
+    payload = json.loads(newest.sidecar.read_text())
+    SIDECAR_MUTATIONS[mutation](payload["runtime"])
+    newest.sidecar.write_text(json.dumps(payload))
+    records += supervisor.process_many(live[:, 300:400])
+
+    assert supervisor.health().crashes_recovered == 1
+    assert records == expected
+    assert supervisor.breakers.to_state() == plain.breakers.to_state()
 
 
 @settings(max_examples=12, deadline=None)
