@@ -10,13 +10,19 @@ the standard CSR layout, both edge directions stored) and provides:
 * :func:`tsg_edge_arrays` — vectorised k-NN + tau-pruning edge selection
   that reproduces :func:`repro.graph.knn_graph` + ``prune_weak_edges``
   exactly, including which direction's correlation an edge keeps;
-* :func:`louvain_csr` / :func:`label_propagation_csr` — array-backed
-  community detection mirroring the deterministic dict implementations
-  move for move (same visit order, same candidate order, same tie-breaks),
-  so they produce the same labels.  After a level's first sweep, Louvain
-  evaluates only community-boundary vertices and the neighbours of vertices
-  that moved; an interior vertex's evaluation provably keeps it in place
-  and writes nothing, so the skip changes no decision;
+* :func:`louvain_labels_csr` / :func:`louvain_csr` — Louvain in one call
+  to the compiled kernel in ``_louvain.c`` (built on first use and cached;
+  see :mod:`repro.graph._native`).  The kernel mirrors the deterministic
+  dict implementation move for move (same visit order, same candidate
+  order, same tie-breaks), so it produces the same labels.  After a
+  level's first sweep it evaluates only community-boundary vertices and
+  the neighbours of vertices that moved; an interior vertex's evaluation
+  provably keeps it in place and writes nothing, so the skip changes no
+  decision.  Without a working C compiler these functions warn once and
+  run the dict reference :func:`~repro.graph.louvain` on
+  :meth:`CSRGraph.to_graph` instead;
+* :func:`label_propagation_csr` — array-backed label propagation,
+  mirroring the dict version;
 * :func:`modularity_csr` — vectorised Newman modularity.
 
 Label equivalence caveat: the dict and CSR code paths accumulate the same
@@ -33,8 +39,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..timeseries.correlation import top_k_neighbors
+from ._native import STATUS_MESSAGES, STATUS_NO_MEMORY, load_louvain
 from .graph import Graph
-from .louvain import LouvainResult
+from .louvain import LouvainResult, louvain
 
 
 class CSRGraph:
@@ -184,193 +191,6 @@ def tsg_csr(corr: np.ndarray, k: int, tau: float) -> CSRGraph:
 # --------------------------------------------------------------------------
 
 
-class _CSRLevel:
-    """One Louvain pass's working graph (mirrors ``louvain._Level``)."""
-
-    __slots__ = ("indptr", "indices", "weights", "self_weight", "rows", "degree", "two_m")
-
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        weights: np.ndarray,
-        self_weight: np.ndarray,
-    ) -> None:
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-        self.self_weight = self_weight
-        n = self_weight.size
-        # Kept around: every later sweep's boundary mask and the
-        # aggregation step index edges by their source row.
-        self.rows = np.repeat(np.arange(n), np.diff(indptr))
-        row_sums = np.bincount(self.rows, weights=weights, minlength=n)
-        self.degree = row_sums + 2.0 * self_weight
-        self.two_m = float(self.degree.sum())
-
-    @property
-    def n(self) -> int:
-        return self.self_weight.size
-
-
-def _one_level_csr(
-    level: _CSRLevel,
-    resolution: float,
-    min_gain: float,
-) -> tuple[np.ndarray, bool]:
-    """One local-moving pass; mirrors ``louvain._one_level`` decision flow.
-
-    The sweep is inherently sequential (each move feeds the next vertex's
-    gains), so per-vertex numpy calls would pay ~100x their arithmetic in
-    dispatch overhead; it runs on flat Python lists extracted once per
-    level.  The first sweep evaluates every vertex.  Each later sweep
-    evaluates only the vertices on a community boundary when it starts (one
-    vectorised mask over the level's edges) plus the neighbours of every
-    vertex that moves during it.  The level ends on the first sweep with no
-    moves.
-
-    Why the skip is exact: evaluating a vertex that stays writes nothing
-    (the remove-from-own-community step is computed on a scratch value and
-    only written back on an actual move).  A vertex whose neighbours all
-    share its label has one candidate, its own label, so it stays.  Its
-    neighbourhood changes only when a neighbour moves, and that move marks
-    it.  Skipping the unmarked interior therefore reproduces the full
-    sequential sweep decision for decision.  (The classic formulation's
-    ``-= deg`` / ``+= deg`` round trip on a stay would perturb
-    ``community_degree`` by ~1 ulp; relative to the dict path, dropping it
-    shifts intermediates by at most the ~1 ulp the module docstring already
-    budgets for.)
-    """
-    n = level.n
-    two_m = level.two_m
-    if two_m <= 0:
-        return np.arange(n, dtype=np.int64), False
-    labels = list(range(n))
-    community_degree = level.degree.tolist()
-    degree = level.degree.tolist()
-
-    # Per-vertex neighbour and weight lists, built once per level: the
-    # first sweep visits every vertex, so the extraction amortises
-    # immediately.  (Slicing two flat lists is several times cheaper than
-    # materialising one (neighbour, weight) tuple per edge.)
-    indptr = level.indptr.tolist()
-    indices = level.indices.tolist()
-    weights = level.weights.tolist()
-    neighbor_ids = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
-    neighbor_weights = [weights[indptr[v] : indptr[v + 1]] for v in range(n)]
-
-    improved_any = False
-    active = set(range(n))  # the first sweep evaluates every vertex ...
-    marking = False  # ... so it needs no marks from movers
-    while True:
-        moves = 0
-        for v in range(n):
-            if v not in active:
-                continue
-            neighbors = neighbor_ids[v]
-            if not neighbors:
-                continue
-            old = labels[v]
-            links: dict[int, float] = {}
-            # CSR columns are sorted, so accumulation order per label is
-            # ascending neighbour index.  (The explicit membership test
-            # beats both dict.get and try/except: early sweeps miss
-            # constantly, and CPython specialises the contains + subscript
-            # pair.)
-            for u, w in zip(neighbors, neighbor_weights[v]):
-                label = labels[u]
-                if label in links:
-                    links[label] += w
-                else:
-                    links[label] = w
-            deg_v = degree[v]
-            removed = community_degree[old] - deg_v
-            base = links.get(old, 0.0) - resolution * deg_v * removed / two_m
-            best_label = old
-            best_gain = 0.0
-            # Sorted candidates + strict min_gain beat: the dict tie-break.
-            # One-candidate dicts skip the sort.
-            candidates = links if len(links) == 1 else sorted(links)
-            for label in candidates:
-                if label == old:
-                    continue
-                gain = (
-                    links[label]
-                    - resolution * deg_v * community_degree[label] / two_m
-                ) - base
-                if gain > best_gain + min_gain:
-                    best_gain = gain
-                    best_label = label
-            if best_label != old:
-                community_degree[old] = removed
-                community_degree[best_label] += deg_v
-                labels[v] = best_label
-                if marking:
-                    active.update(neighbors)
-                moves += 1
-        if moves == 0:
-            break  # a sweep with no moves: the level converged
-        improved_any = True
-        current = np.asarray(labels, dtype=np.int64)
-        boundary = current[level.rows] != current[level.indices]
-        active = set(level.rows[boundary].tolist())
-        marking = True
-    return np.asarray(labels, dtype=np.int64), improved_any
-
-
-#: Aggregated levels at or below this vertex count take the dense merge
-#: path in :func:`_aggregate_csr` (O(n_new^2) scratch instead of a sort).
-_DENSE_AGGREGATE_MAX = 64
-
-
-def _aggregate_csr(level: _CSRLevel, labels: np.ndarray) -> _CSRLevel:
-    """Condense communities into super-vertices (mirrors ``louvain._aggregate``)."""
-    n_new = int(labels.max()) + 1
-    rows = level.rows
-    upper = level.indices > rows  # each undirected edge once
-    cv = labels[rows[upper]]
-    cu = labels[level.indices[upper]]
-    w = level.weights[upper]
-
-    self_weight = np.bincount(labels, weights=level.self_weight, minlength=n_new)
-    intra = cv == cu
-    if intra.any():
-        self_weight += np.bincount(cv[intra], weights=w[intra], minlength=n_new)
-
-    a, b, wi = cv[~intra], cu[~intra], w[~intra]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    key = lo * np.int64(n_new) + hi
-    if n_new <= _DENSE_AGGREGATE_MAX:
-        # Dense merge: bincount over flat (lo, hi) keys accumulates the
-        # merged weights sequentially in input order — the same additions
-        # in the same order as the sparse unique/inverse path — and a
-        # separate presence mask keeps edges whose weights merge to 0.0.
-        # Row-major np.nonzero of the symmetric presence mask enumerates
-        # each row's columns ascending, which is CSRGraph's layout, so no
-        # lexsort is paid.
-        merged_flat = np.bincount(key, weights=wi, minlength=n_new * n_new)
-        present = np.zeros(n_new * n_new, dtype=bool)
-        present[key] = True
-        present_mat = present.reshape(n_new, n_new)
-        sym = present_mat | present_mat.T
-        indptr = np.zeros(n_new + 1, dtype=np.int64)
-        np.cumsum(sym.sum(axis=1), out=indptr[1:])
-        indices = np.nonzero(sym)[1]
-        merged_mat = merged_flat.reshape(n_new, n_new)
-        rows_u, cols_u = np.nonzero(present_mat)
-        wmat = np.zeros((n_new, n_new), dtype=np.float64)
-        wmat[rows_u, cols_u] = merged_mat[rows_u, cols_u]
-        wmat[cols_u, rows_u] = merged_mat[rows_u, cols_u]
-        return _CSRLevel(indptr, indices, wmat[sym], self_weight)
-    unique_keys, inverse = np.unique(key, return_inverse=True)
-    merged = np.bincount(inverse, weights=wi) if unique_keys.size else np.zeros(0)
-    csr = CSRGraph.from_edges(
-        n_new, unique_keys // n_new, unique_keys % n_new, merged
-    )
-    return _CSRLevel(csr.indptr, csr.indices, csr.weights, self_weight)
-
-
 def _compact_labels_array(labels: np.ndarray) -> np.ndarray:
     """Relabel to 0..k-1 in order of first appearance (vectorised)."""
     unique, first_index = np.unique(labels, return_index=True)
@@ -390,27 +210,62 @@ def louvain_labels_csr(
     equivalent dict graph (see the module docstring for the float-ordering
     caveat).  The per-round fast pipeline uses this entry point because
     :class:`~repro.core.result.RoundRecord` never stores modularity.
+
+    Raises ``ValueError`` for a negative weight or for malformed CSR arrays
+    (``indptr`` not starting at 0, decreasing, or not ending at
+    ``len(indices)``; an index outside ``[0, n)``).
     """
     if (graph.weights < 0).any():
         bad = int(np.argmax(graph.weights < 0))
         raise ValueError(
             f"louvain requires non-negative weights, got {graph.weights[bad]}"
         )
-    n = graph.n_vertices
-    membership = np.arange(n, dtype=np.int64)
-    level = _CSRLevel(
-        graph.indptr, graph.indices, graph.weights, np.zeros(n, dtype=np.float64)
+    kernel = load_louvain()
+    if kernel is None:
+        _raise_for_status(_structure_status(graph))
+        partition = louvain(graph.to_graph(), resolution, min_gain)
+        return np.asarray(partition.labels, dtype=np.int64)
+    # The kernel reads raw int64/float64 buffers: these locals keep them
+    # alive (and contiguous) for the call.  CSRGraph guarantees the
+    # lengths; the kernel checks the values.
+    indptr = np.ascontiguousarray(graph.indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(graph.indices, dtype=np.int64)
+    weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
+    labels = np.empty(graph.n_vertices, dtype=np.int64)
+    _raise_for_status(
+        kernel(
+            graph.n_vertices,
+            indptr.ctypes.data,
+            indices.ctypes.data,
+            weights.ctypes.data,
+            indices.size,
+            resolution,
+            min_gain,
+            labels.ctypes.data,
+        )
     )
-    while True:
-        labels, improved = _one_level_csr(level, resolution, min_gain)
-        compact = _compact_labels_array(labels)
-        membership = compact[membership]
-        if not improved:
-            break
-        level = _aggregate_csr(level, compact)
-        if level.n <= 1:
-            break
-    return _compact_labels_array(membership)
+    return labels
+
+
+def _structure_status(graph: CSRGraph) -> int:
+    """The kernel's CSR input check in numpy, for the dict fallback."""
+    indptr, indices, n = graph.indptr, graph.indices, graph.n_vertices
+    if indptr[0] != 0:
+        return 1
+    if (np.diff(indptr) < 0).any():
+        return 2
+    if indptr[n] != indices.size:
+        return 3
+    if indices.size and not (indices.min() >= 0 and indices.max() < n):
+        return 4
+    return 0
+
+
+def _raise_for_status(status: int) -> None:
+    if status == STATUS_NO_MEMORY:
+        raise MemoryError("the Louvain kernel could not allocate its working arrays")
+    if status:
+        raise ValueError(f"malformed CSR graph: {STATUS_MESSAGES[status]}")
 
 
 def louvain_csr(
@@ -439,9 +294,9 @@ def label_propagation_labels_csr(graph: CSRGraph, max_sweeps: int = 50) -> np.nd
     pairs = list(zip(graph.indices.tolist(), graph.weights.tolist()))
     adjacency = [pairs[indptr[v] : indptr[v + 1]] for v in range(n)]
 
-    # Flat-list hot loop for the same reason as ``_one_level_csr``: the
-    # sweep is sequential, and numpy dispatch per vertex costs more than
-    # the few-neighbour arithmetic it would vectorise.
+    # Flat-list hot loop: the sweep is sequential, and numpy dispatch per
+    # vertex costs more than the few-neighbour arithmetic it would
+    # vectorise.
     for _ in range(max_sweeps):
         changed = False
         for v in range(n):

@@ -327,7 +327,7 @@ class IngestFrontier:
         skipped internally, so a non-None return is always a complete row.
         """
         while self._next_emit <= self._watermark:
-            row = self._emit_next()
+            row = self._emit_next(self._watermark)
             if row is not None:
                 return row
         return None
@@ -335,14 +335,24 @@ class IngestFrontier:
     def drain(self) -> Iterator[np.ndarray]:
         """Flush everything up to the newest observed row (end of stream)."""
         while self._next_emit <= self._max_row:
-            row = self._emit_next()
+            row = self._emit_next(self._max_row)
             if row is not None:
                 yield row
 
-    def _emit_next(self) -> np.ndarray | None:
+    def _emit_next(self, last: int) -> np.ndarray | None:
+        """Flush the row at ``next_emit``; ``last`` is the caller's final
+        flushable row.  None means the row was dropped."""
         pos = self._next_emit
-        self._next_emit = pos + 1
         entry = self._pending.pop(pos, None)
+        if entry is None and self._cfg.late_policy == "drop":
+            # Every row before the next pending one is wholly missing, so
+            # each would be dropped in turn: drop the run in one step.  A
+            # timestamp jump then costs O(pending rows), not O(jump).
+            stop = min(min(self._pending, default=last + 1), last + 1)
+            self.rows_dropped += stop - pos
+            self._next_emit = stop
+            return None
+        self._next_emit = pos + 1
         if entry is None:
             values = np.full(self._cfg.n_sensors, np.nan)
             missing = self._cfg.n_sensors

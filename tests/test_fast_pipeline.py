@@ -6,9 +6,12 @@ after an exact refresh), and the array-backed TSG/Louvain must reproduce the
 dict reference implementations label for label.
 """
 
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CAD, CADConfig, build_tsg
@@ -27,6 +30,7 @@ from repro.graph import (
     tsg_csr,
     tsg_edge_arrays,
 )
+from repro.graph import _native, csr
 from repro.graph.csr import louvain_labels_csr
 from repro.timeseries import (
     MultivariateTimeSeries,
@@ -238,6 +242,15 @@ def planted_partition_edges(seed, n, blocks, tau, p_out, isolated_frac):
 
 class TestCSRCommunities:
     @settings(max_examples=100, deadline=None)
+    # Degenerate shapes: one vertex, two, all isolated, no edges at all.
+    @example(seed=1, n=1, blocks=1, tau=0.0, p_out=0.0, isolated_frac=0.0,
+             unit_weights=False)
+    @example(seed=2, n=2, blocks=1, tau=0.0, p_out=0.0, isolated_frac=0.0,
+             unit_weights=False)
+    @example(seed=3, n=40, blocks=3, tau=0.0, p_out=0.05, isolated_frac=1.0,
+             unit_weights=False)
+    @example(seed=4, n=12, blocks=12, tau=0.0, p_out=0.0, isolated_frac=0.0,
+             unit_weights=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 300),
@@ -245,13 +258,18 @@ class TestCSRCommunities:
         tau=st.one_of(st.just(0.0), st.floats(0.0, 0.6)),
         p_out=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
         isolated_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+        unit_weights=st.booleans(),
     )
     def test_louvain_labels_match_dict_on_planted_partitions(
-        self, seed, n, blocks, tau, p_out, isolated_frac
+        self, seed, n, blocks, tau, p_out, isolated_frac, unit_weights
     ):
         rows, cols, weights = planted_partition_edges(
             seed, n, blocks, tau, p_out, isolated_frac
         )
+        if unit_weights:
+            # Exact sums make gain ties common: the candidate order and the
+            # strict min_gain beat decide them.
+            weights = np.ones_like(weights)
         graph = Graph(n)
         for u, v, w in zip(rows.tolist(), cols.tolist(), weights.tolist()):
             graph.add_edge(u, v, w)
@@ -259,11 +277,19 @@ class TestCSRCommunities:
         labels = louvain_labels_csr(csr)
         assert tuple(labels.tolist()) == louvain(graph).labels
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_louvain_labels_match_dict(self, seed):
+    @pytest.mark.parametrize(
+        "seed, shape",
+        [pytest.param(seed, None, id=str(seed)) for seed in range(8)]
+        # k = n - 1: every vertex is every other vertex's neighbour.
+        + [pytest.param(8, (n, n - 1), id=f"n{n}-k{n - 1}") for n in (2, 3, 9)],
+    )
+    def test_louvain_labels_match_dict(self, seed, shape):
         rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(6, 80))
-        k = int(rng.integers(1, min(n - 1, 10) + 1))
+        if shape is None:
+            n = int(rng.integers(6, 80))
+            k = int(rng.integers(1, min(n - 1, 10) + 1))
+        else:
+            n, k = shape
         corr = random_knn_corr(rng, n)
         tau = float(rng.uniform(0.0, 0.5))
         dict_graph = absolute_weight_graph(prune_weak_edges(knn_graph(corr, k), tau))
@@ -299,6 +325,113 @@ class TestCSRCommunities:
             louvain_csr(csr)
         with pytest.raises(ValueError, match="non-negative"):
             label_propagation_csr(csr)
+
+
+#: Malformed CSR inputs ``(n, indptr, indices)``; each must raise ValueError.
+MALFORMED_CSR = {
+    "index-past-n": (3, [0, 1, 2, 2], [1, 3]),
+    "negative-index": (3, [0, 1, 2, 2], [1, -1]),
+    "decreasing-indptr": (3, [0, 2, 1, 2], [1, 0]),
+    "indptr-not-from-0": (3, [1, 1, 2, 2], [1, 0]),
+    "indptr-not-to-m": (3, [0, 1, 2, 3], [1, 0]),
+}
+
+
+class TestLouvainKernel:
+    """The compiled kernel's input checks, loader and dict fallback."""
+
+    @pytest.fixture(autouse=True)
+    def _reset_loader_memo(self):
+        yield
+        _native.load_louvain.cache_clear()
+
+    @staticmethod
+    def planted_graphs():
+        graphs = []
+        for seed, n in enumerate((6, 24, 64, 150)):
+            edges = planted_partition_edges(seed, n, 4, 0.0, 0.02, 0.1)
+            graphs.append(CSRGraph.from_edges(n, *edges))
+        return graphs
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["kernel", "fallback"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSR))
+    def test_malformed_csr_raises_value_error(self, case, fallback, monkeypatch):
+        n, indptr, indices = MALFORMED_CSR[case]
+        graph = CSRGraph(n, np.array(indptr), np.array(indices), np.ones(len(indices)))
+        if fallback:
+            monkeypatch.setattr(csr, "load_louvain", lambda: None)
+        with pytest.raises(ValueError, match="malformed CSR graph"):
+            louvain_labels_csr(graph)
+
+    def test_fallback_matches_kernel_and_warns_once(self, monkeypatch, tmp_path):
+        graphs = self.planted_graphs()
+        expected = [louvain_labels_csr(graph) for graph in graphs]
+
+        def failing_compiler(command, **kwargs):
+            raise subprocess.CalledProcessError(1, command, stderr=b"cc: error")
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(subprocess, "run", failing_compiler)
+        _native.load_louvain.cache_clear()
+        with pytest.warns(RuntimeWarning, match="dict reference Louvain") as warned:
+            got = [louvain_labels_csr(graph) for graph in graphs]
+        assert len(warned) == 1
+        for fallback_labels, kernel_labels in zip(got, expected):
+            assert np.array_equal(fallback_labels, kernel_labels)
+        assert list(tmp_path.rglob("*.so")) == []  # the failed build left nothing
+
+    @pytest.mark.skipif(
+        not _native.compiler_command()
+        or shutil.which(_native.compiler_command()[0]) is None,
+        reason="no C compiler to build the kernel with",
+    )
+    def test_cold_cache_builds_once_then_loads_without_compiling(
+        self, monkeypatch, tmp_path
+    ):
+        compiles = []
+        real_run = subprocess.run
+
+        def counting_run(command, **kwargs):
+            compiles.append(command)
+            return real_run(command, **kwargs)
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        _native.load_louvain.cache_clear()
+        assert _native.load_louvain() is not None
+        assert len(compiles) == 1
+        cache = tmp_path / "repro"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        name = _native.cache_name(
+            _native.SOURCE.read_bytes(), _native.compiler_command()
+        )
+        assert [path.name for path in cache.iterdir()] == [name]
+
+        def no_compiler(command, **kwargs):
+            raise AssertionError("a warm cache must not invoke the compiler")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        _native.load_louvain.cache_clear()
+        assert _native.load_louvain() is not None
+        graph = self.planted_graphs()[1]
+        assert tuple(louvain_labels_csr(graph).tolist()) == louvain(graph.to_graph()).labels
+
+    def test_unwritable_cache_dir_builds_privately(self, monkeypatch, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        _native.load_louvain.cache_clear()
+        graph = self.planted_graphs()[0]
+        assert tuple(louvain_labels_csr(graph).tolist()) == louvain(graph.to_graph()).labels
+        assert blocker.read_text() == ""
+
+    def test_edited_source_maps_to_a_different_cache_name(self):
+        source = _native.SOURCE.read_bytes()
+        command = _native.compiler_command()
+        name = _native.cache_name(source, command)
+        assert _native.cache_name(source, command) == name
+        assert _native.cache_name(source + b"\n", command) != name
+        assert _native.cache_name(source, [*command, "-m32"]) != name
 
 
 class TestEngineEquivalence:

@@ -316,6 +316,47 @@ class TestLatePolicies:
         assert stats.rows_dropped == 1
         assert stats.nan_patched == 0
 
+    @pytest.mark.parametrize("jump", [10**6, 10**12])
+    def test_drop_skips_a_timestamp_jump_in_one_step(self, jump):
+        # Rows between the last clean tick and the jump are wholly missing;
+        # dropping them must not cost one step per row.
+        frontier = IngestFrontier(
+            FrontierConfig(n_sensors=2, disorder_horizon=4, late_policy="drop")
+        )
+        values = np.arange(20.0).reshape(2, 10)
+        rows = push_all(frontier, list(envelopes_from_matrix(values)))
+        frontier.push(
+            SampleEnvelope(sensor=0, seq=10, timestamp=float(jump), value=1.0)
+        )
+        rows.extend(pop_all_ready(frontier))
+        assert np.array_equal(np.column_stack(rows), values)
+        stats = frontier.stats()
+        # The counters a row-by-row drop would reach (999,987 rows dropped
+        # and next_emit 999,997 for a jump of 10**6).
+        assert stats.rows_dropped == jump - 13
+        assert frontier.next_emit == jump - 3
+        assert stats.rows_emitted == 10
+        # The jump row itself is incomplete, so draining drops it too.
+        assert list(frontier.drain()) == []
+        assert frontier.stats().rows_dropped == jump - 9
+        assert frontier.next_emit == jump + 1
+
+    def test_drop_jump_stops_at_the_next_pending_row(self):
+        frontier = IngestFrontier(
+            FrontierConfig(n_sensors=2, disorder_horizon=4, late_policy="drop")
+        )
+        for t in (0.0, 50.0, 100.0):
+            for sensor in (0, 1):
+                frontier.push(
+                    SampleEnvelope(sensor=sensor, seq=int(t), timestamp=t, value=t)
+                )
+        rows = pop_all_ready(frontier)
+        assert [row[0] for row in rows] == [0.0, 50.0]
+        assert frontier.stats().rows_dropped == 49 + 46
+        assert frontier.next_emit == 97
+        assert [row[0] for row in frontier.drain()] == [100.0]
+        assert frontier.stats().rows_dropped == 98
+
     def test_wholly_missing_row_becomes_all_nan_gap(self):
         frontier = IngestFrontier(FrontierConfig(n_sensors=2, disorder_horizon=0))
         frontier.push(SampleEnvelope(sensor=0, seq=0, timestamp=0.0, value=1.0))
