@@ -1,11 +1,204 @@
 /*
- * Louvain community labels on a CSR graph, in one call.
+ * The fast engine's compiled kernels, one library for every O(n^2) pass of
+ * a round (loaded by repro._native):
  *
- * This is the compiled body of repro.graph.csr.louvain_labels_csr.  It
- * mirrors the dict reference (repro.graph.louvain) decision for decision:
- * vertices are visited in index order, candidate communities in ascending
- * label order, and a move needs a gain strictly above best + min_gain.
- * Every floating-point sum runs in a fixed, documented order:
+ *   repro_corr_from_sums   the rolling correlation's normalisation of its
+ *                          running sums into a Pearson matrix;
+ *   repro_tsg_stale_rows   the delta TSG builder's separation certificate;
+ *   repro_tsg_assemble     the TSG's CSR arrays from the top-k picks;
+ *   repro_louvain_labels   Louvain community labels on the CSR graph.
+ *
+ * Each one reproduces the numpy (or dict) code it replaces bit for bit, so
+ * every floating-point operation runs in that code's order.  Build with
+ * -ffp-contract=off and without -ffast-math: a fused multiply-add or a
+ * reassociated sum would change the bits.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+enum {
+    KERNEL_OK = 0,
+    KERNEL_NO_MEMORY = 5,
+    KERNEL_OVER_CAPACITY = -1
+};
+
+/* ------------------------------------------------------------------------
+ * Rolling correlation
+ * --------------------------------------------------------------------- */
+
+/*
+ * Pearson matrix from a window's running sums: out = normalised
+ * outer(sums, sums / -window) + cross.  The per-element operations are
+ * repro.timeseries.rolling.corr_from_sums's, in its order:
+ *
+ *   v = sums[i] * (sums[j] / -window) + cross[i, j]
+ *   v = (v * inv[i]) * inv[j]           inv = 1 / norm, 1 for constants
+ *   clip v to [-1, 1], pin the diagonal to 1, zero constant rows/columns,
+ *
+ * where norm[i] = sqrt(max(v_ii, 0)) from the unscaled diagonal and a
+ * sensor is constant when its norm is <= 1e-12.  Returns KERNEL_OK or
+ * KERNEL_NO_MEMORY.
+ */
+int repro_corr_from_sums(int64_t n, double window, const double *sums,
+                         const double *cross, double *out)
+{
+    size_t size = (size_t)(n > 0 ? n : 1);
+    double *scaled = malloc(size * sizeof(double));
+    double *inv = malloc(size * sizeof(double));
+    unsigned char *constant = malloc(size);
+    if (!scaled || !inv || !constant) {
+        free(scaled);
+        free(inv);
+        free(constant);
+        return KERNEL_NO_MEMORY;
+    }
+    double negw = -window;
+    for (int64_t j = 0; j < n; j++) {
+        scaled[j] = sums[j] / negw;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        double var = sums[i] * scaled[i] + cross[i * n + i];
+        /* np.clip(var, 0, None): NaN stays NaN, -0.0 becomes +0.0. */
+        if (!(isnan(var) || var > 0.0)) {
+            var = 0.0;
+        }
+        double norm = sqrt(var);
+        constant[i] = norm <= 1e-12;
+        inv[i] = 1.0 / (constant[i] ? 1.0 : norm);
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const double *cross_row = cross + i * n;
+        double *row = out + i * n;
+        double sum_i = sums[i];
+        double inv_i = inv[i];
+        for (int64_t j = 0; j < n; j++) {
+            double v = sum_i * scaled[j];
+            v = v + cross_row[j];
+            v = v * inv_i;
+            v = v * inv[j];
+            /* np.clip(v, -1, 1): NaN and -0.0 pass through unchanged. */
+            if (v < -1.0) {
+                v = -1.0;
+            } else if (v > 1.0) {
+                v = 1.0;
+            }
+            row[j] = v;
+        }
+        row[i] = 1.0;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        if (constant[i]) {
+            for (int64_t j = 0; j < n; j++) {
+                out[i * n + j] = 0.0;
+                out[j * n + i] = 0.0;
+            }
+        }
+    }
+    free(scaled);
+    free(inv);
+    free(constant);
+    return KERNEL_OK;
+}
+
+/* ------------------------------------------------------------------------
+ * TSG construction
+ *
+ * Strength is |corr| off the diagonal and -inf on it, as in
+ * repro.timeseries.correlation.top_k_neighbors.  members is the n x n
+ * row-major pick mask: members[i * n + j] when j is among row i's top k.
+ * --------------------------------------------------------------------- */
+
+/*
+ * Separation certificate of every row of members against corr: a row is
+ * stale unless it holds no NaN strength and its weakest member is strictly
+ * stronger than its strongest non-member.  Writes the stale rows, in
+ * ascending order, to stale_out (n slots) and returns how many there are.
+ */
+int64_t repro_tsg_stale_rows(int64_t n, const double *corr,
+                             const unsigned char *members, int64_t *stale_out)
+{
+    int64_t n_stale = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const double *row = corr + i * n;
+        const unsigned char *picked = members + i * n;
+        double member_min = INFINITY;
+        double other_max = -INFINITY;
+        int stale = 0;
+        for (int64_t j = 0; j < n; j++) {
+            double s = j == i ? -INFINITY : fabs(row[j]);
+            if (isnan(s)) {
+                stale = 1;
+                break;
+            }
+            if (picked[j]) {
+                member_min = s < member_min ? s : member_min;
+            } else {
+                other_max = s > other_max ? s : other_max;
+            }
+        }
+        if (stale || !(member_min > other_max)) {
+            stale_out[n_stale++] = i;
+        }
+    }
+    return n_stale;
+}
+
+/*
+ * CSR arrays of the TSG with absolute weights, i.e. the arrays of
+ * repro.graph.csr.tsg_csr(corr, k, tau).absolute().  Vertices i != j are
+ * joined when either picked the other; the edge takes the correlation of
+ * the lower-index vertex's pick when it made one (corr[lo, hi]), else
+ * corr[hi, lo], and is kept when |weight| >= tau.  Rows are written in
+ * ascending column order, both directions of every edge stored; a picked
+ * diagonal is a self-loop, stored twice like the full path stores it.
+ * Returns the number of stored entries, or KERNEL_OVER_CAPACITY when they
+ * would not fit in capacity slots of indices and weights.
+ */
+int64_t repro_tsg_assemble(int64_t n, const double *corr,
+                           const unsigned char *members, double tau,
+                           int64_t capacity, int64_t *indptr, int64_t *indices,
+                           double *weights)
+{
+    int64_t nnz = 0;
+    indptr[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t j = 0; j < n; j++) {
+            int64_t lo = i < j ? i : j;
+            int64_t hi = i < j ? j : i;
+            int forward = members[lo * n + hi];
+            if (!forward && !members[hi * n + lo]) {
+                continue;
+            }
+            double weight = fabs(forward ? corr[lo * n + hi] : corr[hi * n + lo]);
+            /* A row with fewer than k non-NaN strengths picks its own
+             * diagonal; the full path keeps that self-loop, stored once
+             * per direction. */
+            int copies = (weight >= tau) << (j == i);
+            if (copies > capacity - nnz) {
+                return KERNEL_OVER_CAPACITY;
+            }
+            for (int c = 0; c < copies; c++) {
+                indices[nnz] = j;
+                weights[nnz] = weight;
+                nnz++;
+            }
+        }
+        indptr[i + 1] = nnz;
+    }
+    return nnz;
+}
+
+/* ------------------------------------------------------------------------
+ * Louvain
+ *
+ * The compiled body of repro.graph.csr.louvain_labels_csr.  It mirrors the
+ * dict reference (repro.graph.louvain) decision for decision: vertices are
+ * visited in index order, candidate communities in ascending label order,
+ * and a move needs a gain strictly above best + min_gain.  Every
+ * floating-point sum runs in a fixed, documented order:
  *
  *   - a vertex's link weight to a community accumulates over its CSR row in
  *     column order (columns are sorted ascending);
@@ -16,19 +209,12 @@
  *     super-vertex's self-loop is its members' self-loops summed in vertex
  *     order plus its intra-community edges summed in enumeration order.
  *
- * Build with -ffp-contract=off and without -ffast-math: a fused
- * multiply-add or a reassociated sum would change the bits.
- *
  * After a level's first sweep, a sweep evaluates only vertices on a
  * community boundary when it starts, plus the neighbours of every vertex
  * that moves during it.  The skip is exact: a vertex whose neighbours all
  * share its label has one candidate, its own label, so it stays, and a
  * stay writes nothing.
- */
-
-#include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
+ * --------------------------------------------------------------------- */
 
 enum {
     LOUVAIN_OK = 0,
@@ -36,7 +222,7 @@ enum {
     LOUVAIN_BAD_ORDER = 2,      /* indptr decreases somewhere */
     LOUVAIN_BAD_END = 3,        /* indptr[n] != len(indices) */
     LOUVAIN_BAD_INDEX = 4,      /* an index outside [0, n) */
-    LOUVAIN_NO_MEMORY = 5
+    LOUVAIN_NO_MEMORY = KERNEL_NO_MEMORY
 };
 
 typedef struct {

@@ -1,0 +1,317 @@
+"""Build-on-first-use loader for the fast engine's compiled kernels.
+
+One C source (``_kernels.c``), one cached shared library, one memoised
+loader: :func:`load_kernels` returns a :class:`Kernels` whose methods run
+the per-round O(n^2) passes of the fast engine -- the rolling
+correlation's normalisation (:mod:`repro.timeseries.rolling`), the delta
+TSG builder's separation certificate and CSR assembly
+(:mod:`repro.graph.delta`) and Louvain (:mod:`repro.graph.csr`).  Each one
+reproduces the numpy or dict code it replaces bit for bit.
+
+The package runs straight from a source tree (``PYTHONPATH=src``) with no
+install step, so no setuptools extension is ever built.  Instead the first
+call compiles ``_kernels.c`` with the C compiler Python itself was built
+with (``sysconfig``'s ``CC``) and loads the library with :mod:`ctypes`:
+
+* flags ``-O2 -fPIC -shared -ffp-contract=off`` (and ``-lm``), never
+  ``-ffast-math``: a fused multiply-add or a reassociated sum would change
+  the kernels' bits;
+* the library is cached in ``$XDG_CACHE_HOME/repro`` (default
+  ``~/.cache/repro``, created with mode 0700) under a name hashed from the
+  source, the compiler command, the flags and the platform tag, so an
+  edited source never loads a stale build;
+* it is compiled to a temporary file in the cache directory and moved into
+  place with :func:`os.replace`, so concurrent processes (and forked pool
+  workers) never load a half-written library;
+* after a successful build every other finished ``*.so`` in the directory
+  is unlinked, so the cache holds one library however often the source
+  changes (a process that already mapped a pruned library keeps using it;
+  one that finds its build gone compiles it again);
+* when the cache directory is not writable, it is compiled into a private
+  per-process temporary directory instead.
+
+When no compiler works, :func:`load_kernels` warns once and returns
+``None``; every caller then runs the reference code it replaces (numpy for
+correlation and TSG, the dict Louvain).  The result is memoised per
+process.
+"""
+
+from __future__ import annotations
+
+import atexit
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+import warnings
+from pathlib import Path
+from typing import Any
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_kernels.c")
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+LIBS = ("-lm",)
+
+#: ``repro_louvain_labels`` status codes (see ``_kernels.c``) -> message.
+STATUS_MESSAGES = {
+    1: "indptr[0] must be 0",
+    2: "indptr must never decrease",
+    3: "indptr[n] must equal len(indices)",
+    4: "every index must lie in [0, n)",
+}
+STATUS_NO_MEMORY = 5
+
+
+class KernelBuildError(RuntimeError):
+    """The compiled kernels could not be built."""
+
+
+def compiler_command() -> list[str]:
+    """The C compiler Python was built with, split into argv words."""
+    cc = sysconfig.get_config_var("CC")
+    return shlex.split(cc) if isinstance(cc, str) else []
+
+
+def cache_name(source: bytes, command: list[str]) -> str:
+    """Library file name for one (source, compiler, flags, platform) build."""
+    digest = hashlib.sha256()
+    for part in (
+        source,
+        "\0".join(command).encode(),
+        "\0".join(FLAGS + LIBS).encode(),
+        sysconfig.get_platform().encode(),
+    ):
+        # Length-prefixed, so no two distinct inputs hash the same bytes.
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return f"kernels-{digest.hexdigest()[:32]}.so"
+
+
+def cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/repro``; the XDG spec ignores a relative value."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "repro"
+
+
+def _temp_target(target: Path) -> tuple[Path, str]:
+    """``(target, temp file)`` in the cache dir, else in a private dir."""
+    try:
+        target.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, temp = tempfile.mkstemp(prefix=".kernels-", suffix=".so", dir=target.parent)
+    except OSError:
+        private = tempfile.mkdtemp(prefix="repro-kernels-")
+        atexit.register(lambda: shutil.rmtree(private, ignore_errors=True))
+        target = Path(private) / target.name
+        fd, temp = tempfile.mkstemp(suffix=".so", dir=private)
+    os.close(fd)
+    return target, temp
+
+
+def prune_stale(target: Path) -> None:
+    """Unlink every finished library beside ``target`` but ``target``.
+
+    Temporary files of builds still in flight start with a dot and are
+    left alone.  Unlinking a mapped library is safe: processes that loaded
+    it keep their mapping.
+    """
+    for path in target.parent.glob("*.so"):
+        if path.name != target.name and not path.name.startswith("."):
+            try:
+                path.unlink()
+            except OSError:
+                pass  # already gone, or not ours to remove
+
+
+def build(command: list[str], target: Path) -> Path:
+    """Compile the kernels to ``target`` atomically; returns where it landed."""
+    if not command:
+        raise KernelBuildError("sysconfig names no C compiler (CC)")
+    target, temp = _temp_target(target)
+    try:
+        subprocess.run(
+            [*command, *FLAGS, "-o", temp, str(SOURCE), *LIBS],
+            check=True,
+            capture_output=True,
+        )
+        os.replace(temp, target)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        Path(temp).unlink(missing_ok=True)
+        detail = getattr(exc, "stderr", b"") or b""
+        raise KernelBuildError(
+            f"compiling {SOURCE.name} with {command[0]!r} failed: {exc}"
+            + (f"\n{detail.decode(errors='replace').strip()}" if detail else "")
+        ) from exc
+    prune_stale(target)
+    return target
+
+
+def raise_for_status(status: int) -> None:
+    """Raise for a non-zero ``repro_louvain_labels`` status."""
+    if status == STATUS_NO_MEMORY:
+        raise MemoryError("the Louvain kernel could not allocate its working arrays")
+    if status:
+        raise ValueError(f"malformed CSR graph: {STATUS_MESSAGES[status]}")
+
+
+def _bind(function: Any, restype: Any, argtypes: list[Any]) -> Any:
+    function.restype = restype
+    function.argtypes = argtypes
+    return function
+
+
+_I64 = ctypes.c_int64
+_F64 = ctypes.c_double
+_PTR = ctypes.c_void_p
+
+
+def _square_pair(
+    corr: np.ndarray, members: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``corr`` and ``members`` as contiguous ``(n, n)`` float64 / bool."""
+    corr = np.ascontiguousarray(corr, dtype=np.float64)
+    members = np.ascontiguousarray(members, dtype=bool)
+    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
+        raise ValueError(f"corr must be square, got shape {corr.shape}")
+    if members.shape != corr.shape:
+        raise ValueError(
+            f"members must have corr's shape {corr.shape}, got {members.shape}"
+        )
+    return corr, members
+
+
+class Kernels:
+    """Shape-checked entry points into one loaded kernel library.
+
+    Every method validates its arguments in numpy before the C call, so a
+    malformed input raises ``ValueError`` instead of reading out of bounds.
+    Array arguments are held in locals for the duration of each call,
+    which keeps the buffers the C code reads alive and contiguous.
+    """
+
+    def __init__(self, library: Any) -> None:
+        self._louvain = _bind(
+            library.repro_louvain_labels,
+            ctypes.c_int,
+            [_I64, _PTR, _PTR, _PTR, _I64, _F64, _F64, _PTR],
+        )
+        self._stale_rows = _bind(
+            library.repro_tsg_stale_rows, _I64, [_I64, _PTR, _PTR, _PTR]
+        )
+        self._assemble = _bind(
+            library.repro_tsg_assemble,
+            _I64,
+            [_I64, _PTR, _PTR, _F64, _I64, _PTR, _PTR, _PTR],
+        )
+        self._corr = _bind(
+            library.repro_corr_from_sums, ctypes.c_int, [_I64, _F64, _PTR, _PTR, _PTR]
+        )
+
+    def louvain_labels(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        resolution: float,
+        min_gain: float,
+    ) -> np.ndarray:
+        """Louvain labels of a CSR graph; the C code checks the structure."""
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        if indptr.ndim != 1 or indptr.size < 2 or indices.shape != weights.shape:
+            raise ValueError("malformed CSR graph: array lengths disagree")
+        labels = np.empty(indptr.size - 1, dtype=np.int64)
+        raise_for_status(
+            self._louvain(
+                labels.size,
+                indptr.ctypes.data,
+                indices.ctypes.data,
+                weights.ctypes.data,
+                indices.size,
+                resolution,
+                min_gain,
+                labels.ctypes.data,
+            )
+        )
+        return labels
+
+    def tsg_stale_rows(self, corr: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """Rows of ``members`` whose top-k set ``corr`` does not certify."""
+        corr, members = _square_pair(corr, members)
+        stale = np.empty(corr.shape[0], dtype=np.int64)
+        count = self._stale_rows(
+            corr.shape[0], corr.ctypes.data, members.ctypes.data, stale.ctypes.data
+        )
+        return stale[:count]
+
+    def tsg_assemble(
+        self, corr: np.ndarray, members: np.ndarray, k: int, tau: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, |weights|)`` of the TSG ``members`` picks."""
+        corr, members = _square_pair(corr, members)
+        n = corr.shape[0]
+        # k picks per row give at most n*k undirected edges, stored twice.
+        capacity = 2 * n * k
+        indptr = np.empty(n + 1, dtype=np.int64)
+        indices = np.empty(capacity, dtype=np.int64)
+        weights = np.empty(capacity, dtype=np.float64)
+        stored = self._assemble(
+            n,
+            corr.ctypes.data,
+            members.ctypes.data,
+            tau,
+            capacity,
+            indptr.ctypes.data,
+            indices.ctypes.data,
+            weights.ctypes.data,
+        )
+        if stored < 0:
+            raise ValueError(f"members picks more than k={k} columns in some row")
+        return indptr, indices[:stored], weights[:stored]
+
+    def corr_from_sums(
+        self, sums: np.ndarray, cross: np.ndarray, window: int
+    ) -> np.ndarray:
+        """Pearson matrix of a window from its running sums (see rolling)."""
+        sums = np.ascontiguousarray(sums, dtype=np.float64)
+        cross = np.ascontiguousarray(cross, dtype=np.float64)
+        n = sums.size
+        if sums.ndim != 1 or cross.shape != (n, n):
+            raise ValueError(
+                f"cross must have shape ({n}, {n}) for {n} sums, got {cross.shape}"
+            )
+        corr = np.empty((n, n), dtype=np.float64)
+        status = self._corr(
+            n, float(window), sums.ctypes.data, cross.ctypes.data, corr.ctypes.data
+        )
+        if status:
+            raise MemoryError("the correlation kernel could not allocate its scratch")
+        return corr
+
+
+@functools.lru_cache(maxsize=None)
+def load_kernels() -> Kernels | None:
+    """The compiled kernels, or None (warned once) when they cannot be built."""
+    command = compiler_command()
+    try:
+        target = cache_dir() / cache_name(SOURCE.read_bytes(), command)
+        if not target.is_file():
+            target = build(command, target)
+        library = ctypes.CDLL(str(target))
+    except (KernelBuildError, OSError) as exc:
+        warnings.warn(
+            f"compiled kernels unavailable ({exc}); falling back to numpy "
+            "correlation and TSG code and the dict reference Louvain",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None
+    return Kernels(library)

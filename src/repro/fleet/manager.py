@@ -316,7 +316,7 @@ class FleetManager:
                 f"tenant {tenant!r} has no ingest frontier; feed aligned "
                 "sample rows via submit()"
             )
-        frontier.push(envelope)
+        rt.supervisor.push_envelope(envelope)
 
     def ingest_many(self, envelopes: Iterable[SampleEnvelope]) -> None:
         """Route a batch of envelopes (any delivery order, any tenants)."""

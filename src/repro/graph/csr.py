@@ -11,8 +11,8 @@ the standard CSR layout, both edge directions stored) and provides:
   that reproduces :func:`repro.graph.knn_graph` + ``prune_weak_edges``
   exactly, including which direction's correlation an edge keeps;
 * :func:`louvain_labels_csr` / :func:`louvain_csr` — Louvain in one call
-  to the compiled kernel in ``_louvain.c`` (built on first use and cached;
-  see :mod:`repro.graph._native`).  The kernel mirrors the deterministic
+  to the compiled kernel in ``repro/_kernels.c`` (built on first use and
+  cached; see :mod:`repro._native`).  The kernel mirrors the deterministic
   dict implementation move for move (same visit order, same candidate
   order, same tie-breaks), so it produces the same labels.  After a
   level's first sweep it evaluates only community-boundary vertices and
@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..timeseries.correlation import top_k_neighbors
-from ._native import STATUS_MESSAGES, STATUS_NO_MEMORY, load_louvain
+from .._native import load_kernels, raise_for_status
 from .graph import Graph
 from .louvain import LouvainResult, louvain
 
@@ -220,31 +220,14 @@ def louvain_labels_csr(
         raise ValueError(
             f"louvain requires non-negative weights, got {graph.weights[bad]}"
         )
-    kernel = load_louvain()
-    if kernel is None:
-        _raise_for_status(_structure_status(graph))
+    kernels = load_kernels()
+    if kernels is None:
+        raise_for_status(_structure_status(graph))
         partition = louvain(graph.to_graph(), resolution, min_gain)
         return np.asarray(partition.labels, dtype=np.int64)
-    # The kernel reads raw int64/float64 buffers: these locals keep them
-    # alive (and contiguous) for the call.  CSRGraph guarantees the
-    # lengths; the kernel checks the values.
-    indptr = np.ascontiguousarray(graph.indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(graph.indices, dtype=np.int64)
-    weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
-    labels = np.empty(graph.n_vertices, dtype=np.int64)
-    _raise_for_status(
-        kernel(
-            graph.n_vertices,
-            indptr.ctypes.data,
-            indices.ctypes.data,
-            weights.ctypes.data,
-            indices.size,
-            resolution,
-            min_gain,
-            labels.ctypes.data,
-        )
+    return kernels.louvain_labels(
+        graph.indptr, graph.indices, graph.weights, resolution, min_gain
     )
-    return labels
 
 
 def _structure_status(graph: CSRGraph) -> int:
@@ -259,13 +242,6 @@ def _structure_status(graph: CSRGraph) -> int:
     if indices.size and not (indices.min() >= 0 and indices.max() < n):
         return 4
     return 0
-
-
-def _raise_for_status(status: int) -> None:
-    if status == STATUS_NO_MEMORY:
-        raise MemoryError("the Louvain kernel could not allocate its working arrays")
-    if status:
-        raise ValueError(f"malformed CSR graph: {STATUS_MESSAGES[status]}")
 
 
 def louvain_csr(

@@ -272,7 +272,7 @@ class IngestFrontier:
             )
         return pos
 
-    def push(self, envelope: SampleEnvelope) -> None:
+    def push(self, envelope: SampleEnvelope, *, max_release: int | None = None) -> None:
         """Stage one envelope; flushable rows come off :meth:`pop_ready`.
 
         Raises :class:`EnvelopeValidationError` for an out-of-range sensor
@@ -280,6 +280,14 @@ class IngestFrontier:
         dedup detects inconsistent producer numbering.  Duplicate and late
         envelopes are absorbed silently (counted, never raised): both are
         normal delivery weather, not errors.
+
+        ``max_release`` bounds the work one envelope can cause under
+        ``late_policy="nan_patch"``, where every row the watermark passes
+        is emitted (all-NaN when never received): an envelope that would
+        make more than ``max_release`` rows newly flushable raises
+        :class:`EnvelopeValidationError` with the state untouched.  Under
+        ``"drop"`` a run of missing rows is skipped in one step, so no
+        bound is needed.
         """
         if not isinstance(envelope, SampleEnvelope):
             raise EnvelopeValidationError(
@@ -291,6 +299,23 @@ class IngestFrontier:
                 f"{envelope.sensor} outside [0, {self._cfg.n_sensors})",
             )
         pos = self.position(envelope)
+        if (
+            pos > self._max_row  # only a new newest row moves the watermark
+            and max_release is not None
+            and self._cfg.late_policy == "nan_patch"
+        ):
+            released = (
+                pos
+                - max(1, self._cfg.disorder_horizon)
+                - max(self._watermark, self._next_emit - 1)
+            )
+            if released > max_release:
+                raise EnvelopeValidationError(
+                    "timestamp",
+                    f"{envelope.timestamp} (grid row {pos}) would flush "
+                    f"{released} rows at once, more than the {max_release} "
+                    "one envelope may release",
+                )
         if pos < self._next_emit:
             self.late_dropped += 1
             return

@@ -515,13 +515,26 @@ class StreamSupervisor:
         captures every not-yet-consumed row inside the frontier state.
         """
         frontier = self._require_frontier()
-        frontier.push(envelope)
+        frontier.push(envelope, max_release=self._sup.queue_capacity)
         records: list[RoundRecord] = []
         while True:
             row = frontier.pop_ready()
             if row is None:
                 return records
             records.extend(self._process_raw(row))
+
+    def push_envelope(self, envelope: "SampleEnvelope") -> None:
+        """Push one envelope into the frontier without flushing any row.
+
+        One envelope may make at most ``queue_capacity`` rows flushable
+        under ``late_policy="nan_patch"``: a timestamp further ahead (a
+        broken producer clock, say) raises
+        :class:`~repro.runtime.errors.EnvelopeValidationError` with the
+        frontier untouched, instead of emitting every all-NaN row of the
+        gap (see :meth:`IngestFrontier.push`).  :meth:`ingest` applies the
+        same bound.
+        """
+        self._require_frontier().push(envelope, max_release=self._sup.queue_capacity)
 
     def ingest_many(
         self, envelopes: Iterable["SampleEnvelope"]

@@ -27,6 +27,13 @@ Numerical safety:
   (``prev[:, step:] != window[:, :w - step]``), the kernel notices and
   refreshes exactly, so arbitrary ``update`` calls are always correct —
   just slower than the steady-state incremental path.
+
+Turning the running sums into a correlation matrix is an O(n^2) chain of
+outer product, scaling, clip and pinning passes.  :func:`corr_from_sums`
+is that chain in numpy; the fast path runs it as one fused loop in the
+compiled kernels (``repro/_kernels.c``, loaded by :mod:`repro._native`)
+with the same operations in the same order, so both return the same bits.
+Without a working C compiler the numpy chain runs instead.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from typing import Any
 
 import numpy as np
 
+from .._native import load_kernels
 from .correlation import pearson_matrix_masked
 
 
@@ -262,23 +270,10 @@ class RollingCorrelation:
 
     def _corr_from_sums(self) -> np.ndarray:
         assert self._sums is not None and self._cross is not None
-        w = float(self.window)
-        # cov[i, j] = sum_t (x_i(t) - mean_i)(x_j(t) - mean_j); the baseline
-        # shift cancels out of the algebra but keeps the sums small.
-        corr = np.outer(self._sums, self._sums / -w)
-        corr += self._cross
-        var = np.clip(np.diag(corr), 0.0, None).copy()
-        norms = np.sqrt(var)
-        constant = norms <= 1e-12
-        inv_norms = 1.0 / np.where(constant, 1.0, norms)
-        corr *= inv_norms[:, None]
-        corr *= inv_norms[None, :]
-        np.clip(corr, -1.0, 1.0, out=corr)
-        np.fill_diagonal(corr, 1.0)
-        if constant.any():
-            corr[constant, :] = 0.0
-            corr[:, constant] = 0.0
-        return corr
+        kernels = load_kernels()
+        if kernels is None:
+            return corr_from_sums(self._sums, self._cross, self.window)
+        return kernels.corr_from_sums(self._sums, self._cross, self.window)
 
     # ------------------------------------------------------------------
     # checkpoint support
@@ -318,3 +313,31 @@ class RollingCorrelation:
                 None if value is None else np.asarray(value, dtype=np.float64),
             )
         return kernel
+
+
+def corr_from_sums(sums: np.ndarray, cross: np.ndarray, window: int) -> np.ndarray:
+    """Pearson matrix of a window from its baseline-shifted running sums.
+
+    ``sums[i]`` is the window's sum of ``x_i - baseline_i`` and
+    ``cross[i, j]`` the sum of the products of two such shifted series.
+    This numpy chain is the specification the compiled
+    ``repro_corr_from_sums`` reproduces bit for bit, and the fallback when
+    no compiler is available.
+    """
+    w = float(window)
+    # cov[i, j] = sum_t (x_i(t) - mean_i)(x_j(t) - mean_j); the baseline
+    # shift cancels out of the algebra but keeps the sums small.
+    corr = np.outer(sums, sums / -w)
+    corr += cross
+    var = np.clip(np.diag(corr), 0.0, None).copy()
+    norms = np.sqrt(var)
+    constant = norms <= 1e-12
+    inv_norms = 1.0 / np.where(constant, 1.0, norms)
+    corr *= inv_norms[:, None]
+    corr *= inv_norms[None, :]
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, 1.0)
+    if constant.any():
+        corr[constant, :] = 0.0
+        corr[:, constant] = 0.0
+    return corr

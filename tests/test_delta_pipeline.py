@@ -13,13 +13,15 @@ Three contracts, in increasing order of integration:
 """
 
 import json
+import subprocess
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import correlated_values
+from repro import _native
 from repro.core import CADConfig, StreamingCAD, load_checkpoint, save_checkpoint
 from repro.datasets import FaultModel
 from repro.graph import DeltaTSGBuilder
@@ -67,8 +69,73 @@ def assert_csr_equal(got, expected):
         assert expected_array.flags.c_contiguous, name
 
 
+def drifting_corrs(seed, n, rounds, decimals, n_constant, nan_rate):
+    """Correlation-like matrices that drift a little every round.
+
+    Slow drift lets cached top-k sets survive (certified rounds) while
+    rounding to ``decimals`` makes exact ties between candidates common.
+    The first ``n_constant`` sensors are zero-variance (all-zero rows and
+    columns, as the kernels emit them); each round, each sensor's row and
+    column are NaN with probability ``nan_rate``.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, (n, n))
+    for _ in range(rounds):
+        base += rng.normal(0.0, 0.05, (n, n)) * (rng.random((n, n)) < 0.2)
+        corr = np.clip(np.round((base + base.T) / 2.0, decimals), -1.0, 1.0)
+        np.fill_diagonal(corr, 1.0)
+        corr[:n_constant, :] = 0.0
+        corr[:, :n_constant] = 0.0
+        for row in np.flatnonzero(rng.random(n) < nan_rate):
+            corr[row, :] = np.nan
+            corr[:, row] = np.nan
+        yield corr
+
+
 class TestDeltaBuilder:
     """Builder-level bit-identity against the from-scratch CSR build."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(seed=0, n=2, k_draw=0, tau=0.0, decimals=1, n_constant=0,
+             nan_rate=0.0, full_every=0)
+    @example(seed=1, n=2, k_draw=0, tau=1.0, decimals=1, n_constant=1,
+             nan_rate=0.0, full_every=0)
+    @example(seed=2, n=9, k_draw=7, tau=0.0, decimals=2, n_constant=0,
+             nan_rate=0.1, full_every=3)
+    @example(seed=3, n=9, k_draw=7, tau=1.0, decimals=6, n_constant=2,
+             nan_rate=0.0, full_every=0)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 16),
+        k_draw=st.integers(0, 14),
+        tau=st.sampled_from([0.0, 0.3, 1.0]),
+        decimals=st.sampled_from([1, 2, 6]),
+        n_constant=st.integers(0, 2),
+        nan_rate=st.sampled_from([0.0, 0.05, 0.3]),
+        full_every=st.sampled_from([0, 1, 4]),
+    )
+    def test_property_build_is_bitwise_the_full_path(
+        self, seed, n, k_draw, tau, decimals, n_constant, nan_rate, full_every
+    ):
+        k = 1 + k_draw % (n - 1)  # k = n - 1 included
+        builder = DeltaTSGBuilder(n, k, tau)
+        corrs = drifting_corrs(seed, n, 12, decimals, min(n_constant, n), nan_rate)
+        for r, corr in enumerate(corrs):
+            full = bool(full_every) and r % full_every == 0
+            assert_csr_equal(
+                builder.build(corr, full=full), tsg_csr(corr, k, tau).absolute()
+            )
+
+    def test_generated_streams_certify_and_re_rank(self):
+        # The property above runs both kinds of round, not only full ones.
+        if _native.load_kernels() is None:
+            pytest.skip("the kernels could not be compiled here")
+        builder = DeltaTSGBuilder(12, 3, 0.3)
+        for corr in drifting_corrs(5, 12, 40, 2, 0, 0.02):
+            assert_csr_equal(builder.build(corr), tsg_csr(corr, 3, 0.3).absolute())
+        assert builder.certified_rounds > 0
+        assert builder.rows_recomputed > 0
+        assert builder.full_rebuilds == 1
 
     def stream_corrs(self, seed, n=10, window=50, step=5, rounds=40):
         values = correlated_values(n_sensors=n, length=window + step * rounds,
@@ -144,6 +211,28 @@ class TestDeltaBuilder:
 
 class TestDeltaEngineBitIdentity:
     """The fast engine's TSG maintenance must never change the answer."""
+
+    def test_failed_compiler_keeps_records_and_warns_once(
+        self, feed, monkeypatch, tmp_path
+    ):
+        history, live = feed
+        faulted = FaultModel(missing_rate=0.01, seed=3).apply(live)
+        expected = run_stream(delta_config(), history, faulted)
+
+        def failing_compiler(command, **kwargs):
+            raise subprocess.CalledProcessError(1, command, stderr=b"cc: error")
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(subprocess, "run", failing_compiler)
+        _native.load_kernels.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning, match="compiled kernels") as warned:
+                got = run_stream(delta_config(), history, faulted)
+        finally:
+            _native.load_kernels.cache_clear()
+        assert len(warned) == 1
+        assert got == expected
+        assert got == run_stream(delta_config(engine="reference"), history, faulted)
 
     def test_clean_stream_matches_reference_and_fast(self, feed):
         history, live = feed

@@ -8,6 +8,7 @@ dict reference implementations label for label.
 
 import shutil
 import subprocess
+import types
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from repro.graph import (
     tsg_csr,
     tsg_edge_arrays,
 )
-from repro.graph import _native, csr
+from repro import _native
+from repro.graph import csr
 from repro.graph.csr import louvain_labels_csr
 from repro.timeseries import (
     MultivariateTimeSeries,
@@ -38,6 +40,15 @@ from repro.timeseries import (
     pearson_matrix,
     pearson_matrix_masked,
 )
+from repro.timeseries.rolling import corr_from_sums
+
+#: Skip mark for tests that need the kernels actually compiled.
+needs_compiler = pytest.mark.skipif(
+    not _native.compiler_command()
+    or shutil.which(_native.compiler_command()[0]) is None,
+    reason="no C compiler to build the kernels with",
+)
+
 
 def community_values(n_sensors, length, n_communities=3, seed=0, noise=0.05):
     """Community-structured sensor matrix (same shape as the conftest toy)."""
@@ -343,7 +354,7 @@ class TestLouvainKernel:
     @pytest.fixture(autouse=True)
     def _reset_loader_memo(self):
         yield
-        _native.load_louvain.cache_clear()
+        _native.load_kernels.cache_clear()
 
     @staticmethod
     def planted_graphs():
@@ -359,7 +370,7 @@ class TestLouvainKernel:
         n, indptr, indices = MALFORMED_CSR[case]
         graph = CSRGraph(n, np.array(indptr), np.array(indices), np.ones(len(indices)))
         if fallback:
-            monkeypatch.setattr(csr, "load_louvain", lambda: None)
+            monkeypatch.setattr(csr, "load_kernels", lambda: None)
         with pytest.raises(ValueError, match="malformed CSR graph"):
             louvain_labels_csr(graph)
 
@@ -372,7 +383,7 @@ class TestLouvainKernel:
 
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(subprocess, "run", failing_compiler)
-        _native.load_louvain.cache_clear()
+        _native.load_kernels.cache_clear()
         with pytest.warns(RuntimeWarning, match="dict reference Louvain") as warned:
             got = [louvain_labels_csr(graph) for graph in graphs]
         assert len(warned) == 1
@@ -380,11 +391,7 @@ class TestLouvainKernel:
             assert np.array_equal(fallback_labels, kernel_labels)
         assert list(tmp_path.rglob("*.so")) == []  # the failed build left nothing
 
-    @pytest.mark.skipif(
-        not _native.compiler_command()
-        or shutil.which(_native.compiler_command()[0]) is None,
-        reason="no C compiler to build the kernel with",
-    )
+    @needs_compiler
     def test_cold_cache_builds_once_then_loads_without_compiling(
         self, monkeypatch, tmp_path
     ):
@@ -397,8 +404,8 @@ class TestLouvainKernel:
 
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(subprocess, "run", counting_run)
-        _native.load_louvain.cache_clear()
-        assert _native.load_louvain() is not None
+        _native.load_kernels.cache_clear()
+        assert _native.load_kernels() is not None
         assert len(compiles) == 1
         cache = tmp_path / "repro"
         assert cache.stat().st_mode & 0o777 == 0o700
@@ -411,8 +418,8 @@ class TestLouvainKernel:
             raise AssertionError("a warm cache must not invoke the compiler")
 
         monkeypatch.setattr(subprocess, "run", no_compiler)
-        _native.load_louvain.cache_clear()
-        assert _native.load_louvain() is not None
+        _native.load_kernels.cache_clear()
+        assert _native.load_kernels() is not None
         graph = self.planted_graphs()[1]
         assert tuple(louvain_labels_csr(graph).tolist()) == louvain(graph.to_graph()).labels
 
@@ -420,7 +427,7 @@ class TestLouvainKernel:
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        _native.load_louvain.cache_clear()
+        _native.load_kernels.cache_clear()
         graph = self.planted_graphs()[0]
         assert tuple(louvain_labels_csr(graph).tolist()) == louvain(graph.to_graph()).labels
         assert blocker.read_text() == ""
@@ -432,6 +439,153 @@ class TestLouvainKernel:
         assert _native.cache_name(source, command) == name
         assert _native.cache_name(source + b"\n", command) != name
         assert _native.cache_name(source, [*command, "-m32"]) != name
+
+
+class TestNativeKernels:
+    """The compiled correlation and TSG kernels, their checks and the cache."""
+
+    @pytest.fixture(autouse=True)
+    def _reset_loader_memo(self):
+        yield
+        _native.load_kernels.cache_clear()
+
+    @staticmethod
+    def kernels():
+        kernels = _native.load_kernels()
+        if kernels is None:
+            pytest.skip("the kernels could not be compiled here")
+        return kernels
+
+    @settings(max_examples=150, deadline=None)
+    @example(seed=0, n=1, window=2, scale=1.0, n_constant=1, drift=0.0)
+    @example(seed=1, n=5, window=3, scale=1.0, n_constant=5, drift=1.0)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        window=st.integers(2, 200),
+        scale=st.sampled_from([1e-9, 1.0, 1e6]),
+        n_constant=st.integers(0, 3),
+        drift=st.sampled_from([0.0, 1e-3, 1.0]),
+    )
+    def test_compiled_normalisation_is_bitwise_numpy(
+        self, seed, n, window, scale, n_constant, drift
+    ):
+        rng = np.random.default_rng(seed)
+        values = scale * rng.standard_normal((n, window))
+        # Zero-variance sensors, at zero and at a non-zero level.
+        values[:n_constant] = rng.choice([0.0, 7.5], size=(min(n_constant, n), 1))
+        # The kernel keeps sums relative to a baseline from an earlier window.
+        baseline = values.mean(axis=1) + drift * scale * rng.standard_normal(n)
+        shifted = values - baseline[:, None]
+        sums = shifted.sum(axis=1)
+        cross = shifted @ shifted.T
+        expected = corr_from_sums(sums, cross, window)
+        got = self.kernels().corr_from_sums(sums, cross, window)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_rolling_stream_is_bitwise_the_numpy_fallback(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        values = np.cumsum(rng.normal(size=(7, 900)), axis=1)
+        values[3] = 2.0  # a flat-lined sensor
+        windows = list(stream_windows(values, 60, 6))
+        self.kernels()
+        compiled = RollingCorrelation(7, 60, 6, refresh_every=32)
+        expected = [compiled.update(win) for win in windows]
+        monkeypatch.setattr(
+            "repro.timeseries.rolling.load_kernels", lambda: None
+        )
+        fallback = RollingCorrelation(7, 60, 6, refresh_every=32)
+        for win, corr in zip(windows, expected):
+            got = fallback.update(win)
+            assert np.array_equal(got.view(np.uint64), corr.view(np.uint64))
+
+    def test_certificate_marks_exactly_the_uncertified_rows(self):
+        corr = np.array(
+            [
+                [1.0, 0.9, 0.2, 0.1],  # member 0.9 > 0.2: certified
+                [0.9, 1.0, 0.5, 0.5],  # member ties a non-member: stale
+                [0.2, 0.5, 1.0, np.nan],  # NaN in the row: stale
+                [0.1, 0.5, np.nan, 1.0],  # picked its own diagonal: stale
+            ]
+        )
+        members = np.zeros((4, 4), dtype=bool)
+        members[[0, 1, 2, 3], [1, 2, 1, 3]] = True
+        stale = self.kernels().tsg_stale_rows(corr, members)
+        assert stale.tolist() == [1, 2, 3]
+        corr[2, 3] = 0.0
+        assert self.kernels().tsg_stale_rows(corr, members).tolist() == [1, 3]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "stale-nonsquare-corr",
+            "stale-members-shape",
+            "assemble-nonsquare-corr",
+            "assemble-members-shape",
+            "corr-cross-shape",
+            "corr-sums-2d",
+        ],
+    )
+    def test_shape_mismatch_raises_before_the_c_call(self, call):
+        def trap(*args):
+            raise AssertionError("the C code was called with malformed input")
+
+        kernels = _native.Kernels(
+            types.SimpleNamespace(
+                repro_louvain_labels=trap,
+                repro_tsg_stale_rows=trap,
+                repro_tsg_assemble=trap,
+                repro_corr_from_sums=trap,
+            )
+        )
+        corr = np.zeros((4, 4))
+        calls = {
+            "stale-nonsquare-corr": lambda: kernels.tsg_stale_rows(
+                np.zeros((4, 3)), np.zeros((4, 3), dtype=bool)
+            ),
+            "stale-members-shape": lambda: kernels.tsg_stale_rows(
+                corr, np.zeros((4, 3), dtype=bool)
+            ),
+            "assemble-nonsquare-corr": lambda: kernels.tsg_assemble(
+                np.zeros(16), np.zeros(16, dtype=bool), 2, 0.5
+            ),
+            "assemble-members-shape": lambda: kernels.tsg_assemble(
+                corr, np.zeros((5, 5), dtype=bool), 2, 0.5
+            ),
+            "corr-cross-shape": lambda: kernels.corr_from_sums(
+                np.zeros(4), np.zeros((4, 3)), 10
+            ),
+            "corr-sums-2d": lambda: kernels.corr_from_sums(
+                np.zeros((2, 2)), np.zeros((4, 4)), 10
+            ),
+        }
+        with pytest.raises(ValueError, match="shape|square"):
+            calls[call]()
+
+    @needs_compiler
+    def test_rebuild_after_a_source_edit_leaves_one_library(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        _native.load_kernels.cache_clear()
+        assert _native.load_kernels() is not None
+        cache = tmp_path / "xdg" / "repro"
+        (cache / "louvain-0123456789abcdef.so").write_bytes(b"")  # an old build
+        in_flight = cache / ".kernels-build.so"  # another process mid-build
+        in_flight.write_bytes(b"")
+
+        edited = tmp_path / "_kernels.c"
+        edited.write_bytes(_native.SOURCE.read_bytes() + b"\n/* edited */\n")
+        monkeypatch.setattr(_native, "SOURCE", edited)
+        _native.load_kernels.cache_clear()
+        assert _native.load_kernels() is not None
+        libraries = sorted(
+            path.name for path in cache.glob("*.so") if not path.name.startswith(".")
+        )
+        name = _native.cache_name(edited.read_bytes(), _native.compiler_command())
+        assert libraries == [name]
+        assert in_flight.exists()
 
 
 class TestEngineEquivalence:

@@ -8,6 +8,7 @@ delivery.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -587,6 +588,76 @@ class TestSupervisedIngest:
             "rows_dropped",
         ):
             assert payload[counter] == 0
+
+    @pytest.mark.parametrize("jump", [10**6, 10**12])
+    def test_nan_patch_refuses_a_timestamp_jump_past_the_queue(self, feed, jump):
+        # Under nan_patch every row of the gap would be emitted (all NaN)
+        # and run a CAD round; the supervisor refuses the envelope instead.
+        history, live = feed
+        frontier = IngestFrontier(
+            FrontierConfig(n_sensors=N_SENSORS, disorder_horizon=4)
+        )
+        supervisor = self.make(frontier)
+        supervisor.warm_up(history)
+        records = supervisor.ingest_many(envelopes_from_matrix(live[:, :60]))
+        state = json.dumps(frontier.to_state())
+        health = supervisor.health()
+        samples = supervisor.stream.samples_seen
+        start = time.perf_counter()
+        with pytest.raises(EnvelopeValidationError) as raised:
+            supervisor.ingest(
+                SampleEnvelope(sensor=0, seq=10**13, timestamp=float(jump), value=1.0)
+            )
+        assert time.perf_counter() - start < 0.5
+        assert raised.value.field == "timestamp"
+        assert json.dumps(frontier.to_state()) == state
+        assert supervisor.health() == health
+        assert supervisor.stream.samples_seen == samples
+        # The stream goes on as if the envelope had never arrived.
+        records += supervisor.ingest_many(
+            envelopes_from_matrix(live[:, 60:], start_seq=60)
+        )
+        records += supervisor.finish()
+        stream = StreamingCAD(CONFIG, N_SENSORS)
+        stream.warm_up(history)
+        assert records == stream.push_many(live)
+
+    def test_nan_patch_bound_is_the_queue_capacity(self):
+        # Horizon 2, rows 0-2 seen: row 0 has flushed.  An envelope for
+        # row 5 moves the watermark to row 3, releasing rows 1-3 (3 rows);
+        # one for row 6 would release 4.
+        def fed():
+            frontier = IngestFrontier(
+                FrontierConfig(n_sensors=N_SENSORS, disorder_horizon=2)
+            )
+            supervisor = self.make(
+                frontier, supervisor=SupervisorConfig(queue_capacity=3)
+            )
+            supervisor.ingest_many(envelopes_from_matrix(np.ones((N_SENSORS, 3))))
+            return frontier, supervisor
+
+        frontier, supervisor = fed()
+        assert frontier.next_emit == 1
+        supervisor.ingest(SampleEnvelope(sensor=0, seq=5, timestamp=5.0, value=1.0))
+        assert frontier.next_emit == 4
+        frontier, supervisor = fed()
+        with pytest.raises(EnvelopeValidationError, match="4 rows"):
+            supervisor.ingest(
+                SampleEnvelope(sensor=0, seq=6, timestamp=6.0, value=1.0)
+            )
+
+    def test_fleet_ingest_applies_the_same_bound(self):
+        from repro.fleet import FleetManager, TenantSpec
+
+        frontier_config = FrontierConfig(n_sensors=N_SENSORS, disorder_horizon=4)
+        manager = FleetManager(
+            [TenantSpec("a", CONFIG, N_SENSORS, frontier=frontier_config)],
+            clock=VirtualClock(),
+        )
+        with pytest.raises(EnvelopeValidationError, match="rows at once"):
+            manager.ingest(
+                SampleEnvelope(sensor=0, seq=0, timestamp=1e12, value=1.0)
+            )
 
     def test_frontier_width_must_match(self):
         frontier = IngestFrontier(FrontierConfig(n_sensors=N_SENSORS + 1))
