@@ -106,9 +106,10 @@ int repro_corr_from_sums(int64_t n, double window, const double *sums,
 /* ------------------------------------------------------------------------
  * TSG construction
  *
- * Strength is |corr| off the diagonal and -inf on it, as in
- * repro.timeseries.correlation.top_k_neighbors.  members is the n x n
- * row-major pick mask: members[i * n + j] when j is among row i's top k.
+ * Strength is |corr| off the diagonal and -inf on it: as in
+ * repro.timeseries.correlation.top_k_neighbors, a row never picks its own
+ * diagonal.  members is the n x n row-major pick mask: members[i * n + j]
+ * when j is among row i's top k.
  * --------------------------------------------------------------------- */
 
 /*
@@ -152,8 +153,8 @@ int64_t repro_tsg_stale_rows(int64_t n, const double *corr,
  * joined when either picked the other; the edge takes the correlation of
  * the lower-index vertex's pick when it made one (corr[lo, hi]), else
  * corr[hi, lo], and is kept when |weight| >= tau.  Rows are written in
- * ascending column order, both directions of every edge stored; a picked
- * diagonal is a self-loop, stored twice like the full path stores it.
+ * ascending column order, both directions of every edge stored.  The
+ * diagonal ranks last, so with k < n no row picks itself.
  * Returns the number of stored entries, or KERNEL_OVER_CAPACITY when they
  * would not fit in capacity slots of indices and weights.
  */
@@ -173,18 +174,15 @@ int64_t repro_tsg_assemble(int64_t n, const double *corr,
                 continue;
             }
             double weight = fabs(forward ? corr[lo * n + hi] : corr[hi * n + lo]);
-            /* A row with fewer than k non-NaN strengths picks its own
-             * diagonal; the full path keeps that self-loop, stored once
-             * per direction. */
-            int copies = (weight >= tau) << (j == i);
-            if (copies > capacity - nnz) {
+            if (!(weight >= tau)) {
+                continue;
+            }
+            if (nnz >= capacity) {
                 return KERNEL_OVER_CAPACITY;
             }
-            for (int c = 0; c < copies; c++) {
-                indices[nnz] = j;
-                weights[nnz] = weight;
-                nnz++;
-            }
+            indices[nnz] = j;
+            weights[nnz] = weight;
+            nnz++;
         }
         indptr[i + 1] = nnz;
     }

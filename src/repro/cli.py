@@ -23,9 +23,9 @@ Commands
     rotated crash-safe checkpoints (``--checkpoint-every``,
     ``--checkpoint-dir``) — and ends with a health report
     (``--health-out`` writes it as JSON).  ``--disorder-horizon H`` (with
-    ``--late-policy`` and ``--dedup/--no-dedup``) routes the feed through
-    the :mod:`repro.ingest` frontier as timestamped envelopes, tolerating
-    out-of-order, duplicate and late delivery.
+    ``--late-policy``) routes the feed through the :mod:`repro.ingest`
+    frontier as timestamped envelopes, tolerating out-of-order, duplicate
+    and late delivery.
 ``fleet run --dataset NAME --tenants N [...]``
     Stream a dataset through N independent tenant pipelines multiplexed
     over one shared worker pool (:mod:`repro.fleet`): deterministic shard
@@ -181,12 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="frontier handling of rows incomplete at flush time: nan_patch "
         "emits NaN cells into the degraded-data path (implies "
         "--allow-missing), drop skips the row",
-    )
-    run.add_argument(
-        "--dedup",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="absorb redelivered (sensor, seq) envelopes idempotently",
     )
     _add_engine_flag(run)
 
@@ -381,7 +375,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 n_sensors=data.n_sensors,
                 disorder_horizon=args.disorder_horizon,
                 late_policy=args.late_policy,
-                dedup=args.dedup,
             )
         )
         envelopes = envelopes_from_matrix(test_values)

@@ -96,14 +96,15 @@ class DeltaTSGBuilder:
         """Top-k picks for ``rows``, bitwise-equal to the full path's picks.
 
         Mirrors :func:`repro.timeseries.correlation.top_k_neighbors`
-        (``ordered=False``): ``|corr|`` with a ``-inf`` diagonal, negated,
-        then ``argpartition(kth=k-1)``.  Introselect partitions each row
-        independently, so ranking a row subset returns the same picks as
-        ranking the whole matrix.
+        (``ordered=False``): ``-|corr|`` with NaN ranked after every number
+        and the diagonal last, then ``argpartition(kth=k-1)``.  Introselect
+        partitions each row independently, so ranking a row subset returns
+        the same picks as ranking the whole matrix.
         """
-        strength = np.abs(corr[rows])
-        strength[np.arange(rows.size), rows] = -np.inf
-        np.negative(strength, out=strength)
+        strength = corr[rows]
+        np.copysign(strength, -1.0, out=strength)
+        np.fmin(strength, 1.0, out=strength)
+        strength[np.arange(rows.size), rows] = np.inf
         return np.argpartition(strength, kth=self.k - 1, axis=1)[:, : self.k]
 
     def _refresh_members(self, corr: np.ndarray) -> np.ndarray:

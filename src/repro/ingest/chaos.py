@@ -12,7 +12,7 @@ call-history dependence — so a delivery schedule is exactly reproducible
 and shares one fault vocabulary with the dataset-level knobs
 (``out_of_order`` / ``redelivery`` / ``skew`` on ``FaultModel``).
 
-The headline property the soak (``benchmarks/bench_delivery.py``) leans
+The headline property the oracle (``tests/test_oracle.py``) leans
 on: with original deliveries delayed at most ``max_disorder`` ticks and a
 frontier horizon of at least ``max_disorder``, *every* original arrives
 before its row flushes — so the frontier's output is bit-identical to

@@ -30,7 +30,7 @@ aligned n-sensor sample rows the detector's round grid assumes:
 Everything is a pure function of the envelope stream: no wall clock, no
 hidden RNG.  The same envelopes in any arrival order (within the horizon)
 flush the same rows — that is the bit-identity contract
-``benchmarks/bench_delivery.py`` soaks and ``tests/test_ingest*.py`` prove.
+``tests/test_ingest.py`` and ``tests/test_oracle.py`` prove.
 
 State round-trips through :meth:`IngestFrontier.to_state` /
 :meth:`IngestFrontier.restore_state` (JSON-safe; :meth:`~IngestFrontier.parse_state`
@@ -97,10 +97,6 @@ class FrontierConfig:
     late_policy:
         ``"nan_patch"`` (default): rows flush with NaN in never-received
         cells; ``"drop"``: incomplete rows are skipped entirely.
-    dedup:
-        When True (default), redelivered ``(sensor, seq)`` envelopes are
-        idempotent and conflicting sequence numbers raise; when False, the
-        last write to a cell wins (trusted single-delivery sources).
     epoch, period:
         The round grid: position ``r`` spans timestamp
         ``epoch + r * period``.
@@ -114,7 +110,6 @@ class FrontierConfig:
     n_sensors: int
     disorder_horizon: int = 64
     late_policy: str = "nan_patch"
-    dedup: bool = True
     epoch: float = 0.0
     period: float = 1.0
     skew: tuple[float, ...] | None = None
@@ -330,7 +325,7 @@ class IngestFrontier:
             self._pending[pos] = entry
         row, seqs = entry
         held = int(seqs[envelope.sensor])
-        if held >= 0 and self._cfg.dedup:
+        if held >= 0:
             if held == envelope.seq:
                 self.deduped += 1
                 return

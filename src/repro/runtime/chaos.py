@@ -4,7 +4,7 @@
 dropouts, stuck-at, duplicates, flapping).  This module corrupts the
 *process*: rounds that crash mid-flight, rounds that stall past the
 watchdog deadline, and checkpoints that land torn on disk.  Together they
-are the failure model the soak harness (``benchmarks/bench_soak.py``)
+are the failure model the generated oracle (``tests/test_oracle.py``)
 drives the supervisor through.
 
 Every decision is a pure function of ``(seed, channel, round_index,

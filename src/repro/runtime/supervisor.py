@@ -36,15 +36,16 @@ without giving up the paper's Table VIII determinism:
   disorder horizon, redelivery dedups idempotently, late envelopes follow
   the frontier's explicit policy, and the frontier's reorder state is
   checkpointed alongside the stream so a restarted process resumes
-  mid-reorder without double-feeding (``benchmarks/bench_delivery.py``).
+  mid-reorder without double-feeding.
 
 Determinism contract: with a :class:`~repro.runtime.clock.VirtualClock`
 and a seeded :class:`~repro.runtime.chaos.ChaosModel`, a supervised run —
 crashes, timeouts, torn checkpoints and all — emits a ``RoundRecord``
 sequence bit-identical to the unsupervised fault-free run over the same
-samples (``benchmarks/bench_soak.py`` asserts exactly this).  Quarantine
-rounds are the one sanctioned divergence: masking a sensor *is* a data
-change, per degraded-data semantics.
+samples (``tests/test_oracle.py`` asserts exactly this against the
+reference engine).  Quarantine rounds are the one sanctioned divergence:
+masking a sensor *is* a data change, per degraded-data semantics, so the
+oracle feeds the reference each sample under the mask in force for it.
 """
 
 from __future__ import annotations

@@ -135,9 +135,11 @@ def top_k_neighbors(corr: np.ndarray, k: int, ordered: bool = True) -> np.ndarra
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, n), got k={k} n={n}")
 
-    strength = np.abs(corr)
-    np.fill_diagonal(strength, -np.inf)
-    np.negative(strength, out=strength)  # in place: no extra (n, n) temporary
+    strength = np.copysign(corr, -1.0)  # -|corr| in one pass
+    # A NaN strength ranks after every number and the diagonal after every
+    # NaN, so a row with fewer than k usable correlations never picks itself.
+    np.fmin(strength, 1.0, out=strength)
+    np.fill_diagonal(strength, np.inf)
     # argpartition gives the top-k set in O(n).
     part = np.argpartition(strength, kth=k - 1, axis=1)[:, :k]
     if not ordered:

@@ -1,5 +1,7 @@
 """Shared fixtures: small correlated MTS with an injected correlation break."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,17 @@ def correlated_values(
             rng.uniform(0.8, 1.2) * drivers[c] + noise * rng.standard_normal(length)
         )
     return values
+
+
+def live_and_stray(directory: Path) -> tuple[list[str], list[str]]:
+    """Split a directory listing into live ``ckpt-*`` names and the rest."""
+    names = sorted(entry.name for entry in directory.iterdir())
+    live = [
+        name
+        for name in names
+        if name.startswith("ckpt-") and name.endswith((".npz", ".json"))
+    ]
+    return live, [name for name in names if name not in live]
 
 
 @pytest.fixture

@@ -25,7 +25,8 @@ from repro import _native
 from repro.core import CADConfig, StreamingCAD, load_checkpoint, save_checkpoint
 from repro.datasets import FaultModel
 from repro.graph import DeltaTSGBuilder
-from repro.graph.csr import tsg_csr
+from repro.graph import knn_graph, prune_weak_edges
+from repro.graph.csr import CSRGraph, tsg_csr
 from repro.runtime import StreamSupervisor, SupervisorConfig, VirtualClock
 from repro.timeseries import (
     MultivariateTimeSeries,
@@ -122,9 +123,27 @@ class TestDeltaBuilder:
         corrs = drifting_corrs(seed, n, 12, decimals, min(n_constant, n), nan_rate)
         for r, corr in enumerate(corrs):
             full = bool(full_every) and r % full_every == 0
-            assert_csr_equal(
-                builder.build(corr, full=full), tsg_csr(corr, k, tau).absolute()
-            )
+            built = builder.build(corr, full=full)
+            assert_csr_equal(built, tsg_csr(corr, k, tau).absolute())
+            if nan_rate:
+                # A row with fewer than k non-NaN correlations must not
+                # pick its own diagonal, and the dict path must agree.
+                rows = np.repeat(np.arange(n), np.diff(built.indptr))
+                assert not (rows == built.indices).any()
+                reference = prune_weak_edges(knn_graph(corr, k), tau)
+                assert_csr_equal(built, CSRGraph.from_graph(reference).absolute())
+
+    def test_nan_rows_never_pick_their_diagonal(self):
+        # One usable correlation among four sensors, k = 2: every row has
+        # fewer than k non-NaN strengths to choose from.
+        corr = np.full((4, 4), np.nan)
+        np.fill_diagonal(corr, 1.0)
+        corr[0, 1] = corr[1, 0] = 0.8
+        reference = prune_weak_edges(knn_graph(corr, 2), 0.0)
+        assert reference.edge_set() == {(0, 1)}
+        expected = CSRGraph.from_graph(reference).absolute()
+        assert_csr_equal(tsg_csr(corr, 2, 0.0).absolute(), expected)
+        assert_csr_equal(DeltaTSGBuilder(4, 2, 0.0).build(corr), expected)
 
     def test_generated_streams_certify_and_re_rank(self):
         # The property above runs both kinds of round, not only full ones.

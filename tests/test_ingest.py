@@ -12,8 +12,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tests.conftest import correlated_values
 from repro.core import CADConfig, InvalidSampleError, StreamingCAD
@@ -206,16 +204,6 @@ class TestFrontierBasics:
             frontier.push(SampleEnvelope(sensor=0, seq=6, timestamp=5.4, value=2.0))
         assert excinfo.value.sensor == 0
         assert (excinfo.value.held_seq, excinfo.value.new_seq) == (5, 6)
-
-    def test_dedup_off_last_write_wins(self):
-        frontier = IngestFrontier(
-            FrontierConfig(n_sensors=1, disorder_horizon=1, dedup=False)
-        )
-        frontier.push(SampleEnvelope(sensor=0, seq=0, timestamp=0.0, value=1.0))
-        frontier.push(SampleEnvelope(sensor=0, seq=1, timestamp=0.4, value=9.0))
-        rows = list(frontier.drain())
-        assert rows[0][0] == 9.0
-        assert frontier.stats().deduped == 0
 
     def test_late_envelope_is_counted_not_raised(self):
         values = np.arange(10.0).reshape(1, 10)
@@ -733,49 +721,6 @@ class TestSupervisedIngest:
             merged[record.index] = record
         assert [merged[r.index] for r in baseline] == baseline
         assert resumed.health().samples_late_dropped > 0
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    delay_seed=st.integers(min_value=0, max_value=2**31 - 1),
-    duplicate_every=st.integers(min_value=3, max_value=50),
-)
-def test_any_delivery_within_horizon_is_bit_identical(delay_seed, duplicate_every):
-    """Property (ISSUE satellite): permute arrivals within the horizon and
-    duplicate a slice of envelopes — the RoundRecords are bit-identical to
-    sorted, exactly-once delivery."""
-    horizon = 6
-    values = correlated_values(n_sensors=4, length=420, seed=17)
-    history = MultivariateTimeSeries(values[:, :100])
-    live = values[:, 100:]
-    config = CADConfig(window=48, step=8, allow_missing=True)
-
-    stream = StreamingCAD(config, 4)
-    stream.warm_up(history)
-    expected = stream.push_many(live)
-
-    envelopes = list(envelopes_from_matrix(live))
-    rng = np.random.default_rng(delay_seed)
-    keys = np.array([e.seq for e in envelopes]) + rng.integers(
-        0, horizon + 1, size=len(envelopes)
-    )
-    shuffled = [envelopes[i] for i in np.argsort(keys, kind="stable")]
-    shuffled.extend(shuffled[::duplicate_every])  # tail-end redelivery burst
-
-    frontier = IngestFrontier(FrontierConfig(n_sensors=4, disorder_horizon=horizon))
-    target = StreamingCAD(config, 4)
-    target.warm_up(history)
-    records = []
-    for row in push_all(frontier, shuffled):
-        record = target.push(row)
-        if record is not None:
-            records.append(record)
-    for row in frontier.drain():
-        record = target.push(row)
-        if record is not None:
-            records.append(record)
-    assert records == expected
-    assert frontier.stats().deduped + frontier.stats().late_dropped > 0
 
 
 class TestEnvelopeTenancy:

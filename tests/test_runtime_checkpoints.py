@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.conftest import correlated_values
+from tests.conftest import correlated_values, live_and_stray
 from repro.core import CADConfig, CheckpointError, StreamingCAD
 from repro.core import checkpoint
 from repro.runtime import ChaosModel, CheckpointRotation
@@ -68,17 +68,6 @@ class TestWrite:
     def test_keep_validated(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointRotation(tmp_path, keep=0)
-
-
-def live_and_stray(directory: Path) -> tuple[list[str], list[str]]:
-    """Split a directory listing into live ``ckpt-*`` names and the rest."""
-    names = sorted(entry.name for entry in directory.iterdir())
-    live = [
-        name
-        for name in names
-        if name.startswith("ckpt-") and name.endswith((".npz", ".json"))
-    ]
-    return live, [name for name in names if name not in live]
 
 
 class TestReclaim:

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tests.conftest import correlated_values
 from repro.core import CADConfig, StreamingCAD
@@ -507,42 +505,3 @@ def test_malformed_runtime_sidecar_is_skipped_by_in_process_recovery(
     assert supervisor.health().crashes_recovered == 1
     assert records == expected
     assert supervisor.breakers.to_state() == plain.breakers.to_state()
-
-
-@settings(max_examples=12, deadline=None)
-@given(kill_at=st.integers(min_value=1, max_value=799))
-def test_kill_anywhere_resume_is_bit_identical(kill_at, tmp_path_factory):
-    """Property (ISSUE satellite): kill the stream between arbitrary rounds,
-    restore from the rotated directory, and the union of emitted records is
-    bit-identical to the uninterrupted run."""
-    values = correlated_values(n_sensors=6, length=1000, seed=33)
-    history = MultivariateTimeSeries(values[:, :200])
-    live = values[:, 200:]
-    config = CADConfig(window=48, step=8, allow_missing=True)
-
-    stream = StreamingCAD(config, 6)
-    stream.warm_up(history)
-    baseline = stream.push_many(live)
-
-    tmp_path = tmp_path_factory.mktemp("resume")
-    sup_config = SupervisorConfig(checkpoint_every=4, keep_checkpoints=2)
-    first = StreamSupervisor(
-        config, 6, supervisor=sup_config, checkpoint_dir=tmp_path, clock=VirtualClock()
-    )
-    first.warm_up(history)
-    before = first.process_many(live[:, :kill_at])
-    del first
-
-    resumed = StreamSupervisor(
-        config, 6, supervisor=sup_config, checkpoint_dir=tmp_path, clock=VirtualClock()
-    )
-    if resumed.stream.samples_seen == 0:
-        resumed.warm_up(history)  # killed before the first checkpoint
-    after = resumed.process_many(live[:, resumed.stream.samples_seen :])
-
-    merged: dict[int, object] = {}
-    for record in [*before, *after]:
-        if record.index in merged:
-            assert merged[record.index] == record
-        merged[record.index] = record
-    assert [merged[r.index] for r in baseline] == baseline
