@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.analysis src/repro tests benchmarks examples
     python -m repro.analysis src/repro --format json
-    python -m repro.analysis src/repro --format sarif > findings.sarif
     python -m repro.analysis --list-rules
 
 Every run is one cold pass over every target file; the only way to
@@ -24,7 +23,6 @@ from typing import Sequence
 
 from .engine import analyze_paths
 from .rules import ALL_RULES
-from .sarif import sarif_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "AST linter enforcing CAD's determinism and numerical-safety "
-            "invariants (rules R1-R9, R11, R13, R14; see DESIGN.md "
+            "invariants (rules R1-R9, R11, R14; see DESIGN.md "
             "'Enforced invariants' and 'Whole-program analysis')."
         ),
     )
@@ -44,16 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--sarif-out",
-        default=None,
-        metavar="PATH",
-        help="additionally write a SARIF 2.1.0 report to PATH "
-        "(independent of --format)",
     )
     parser.add_argument(
         "--list-rules",
@@ -80,17 +71,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     report = analyze_paths(targets)
     failed = bool(report.violations or report.parse_failures)
-
-    if options.sarif_out is not None or options.format == "sarif":
-        sarif = sarif_report(report.violations, report.parse_failures, ALL_RULES)
-        rendered = json.dumps(sarif, indent=2, sort_keys=True)
-        if options.sarif_out is not None:
-            Path(options.sarif_out).write_text(
-                rendered + "\n", encoding="utf-8"
-            )
-        if options.format == "sarif":
-            print(rendered)
-            return 1 if failed else 0
 
     if options.format == "json":
         payload = {

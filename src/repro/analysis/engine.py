@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .project import build_project, load_docs, module_name_for, summarize_module
+from .project import build_project, module_name_for, summarize_module
 from .rules import ALL_RULES, FileContext, Rule, Violation
 
 #: ``# repro: noqa`` (all rules) or ``# repro: noqa[R1,R5] reason...``.
@@ -194,15 +194,11 @@ def analyze_source(
 
 
 def analyze_paths(
-    targets: Iterable[str | Path],
-    rules: Sequence[Rule] = ALL_RULES,
-    *,
-    root: str | Path | None = None,
+    targets: Iterable[str | Path], rules: Sequence[Rule] = ALL_RULES
 ) -> AnalysisReport:
     """Lint every file under ``targets`` and aggregate the findings.
 
-    ``root`` anchors doc-file lookup for the drift rules (default: the
-    current directory).  Every call is one cold pass over every file.
+    Every call is one cold pass over every file.
     """
     report = AnalysisReport()
     summaries: dict[str, dict[str, Any]] = {}
@@ -243,8 +239,7 @@ def analyze_paths(
         lines_by_file[relpath] = ctx.lines
         pragmas_by_file[relpath] = pragmas
 
-    root_path = Path(root) if root is not None else Path(".")
-    project = build_project(summaries, load_docs(root_path), facts)
+    project = build_project(summaries, facts)
     for rule in rules:
         for violation in rule.check_project(project):
             _record(violation, pragmas_by_file.get(violation.path, {}), report)

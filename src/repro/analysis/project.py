@@ -1,7 +1,7 @@
 """Whole-program index for :mod:`repro.analysis`.
 
 The per-file rules (R1-R9) see one AST at a time; the cross-file rules
-(R11, R13, R14, and R5's cross-module pass) need to know how files relate: which
+(R11, R14, and R5's cross-module pass) need to know how files relate: which
 dotted module each file is, what every ``import`` resolves to, which
 functions and classes each module defines, and who calls whom.  This module
 builds that index from nothing but the stdlib ``ast`` — no imports are
@@ -15,12 +15,6 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
-
-#: Doc files the drift rules (R13) read, looked up under the project root.
-DOC_FILENAMES = ("README.md", "DESIGN.md")
-
-#: Decorators that mark a class as a dataclass (field table extractable).
-_DATACLASS_DECORATORS = {"dataclass", "dataclasses.dataclass"}
 
 
 def module_name_for(path: Path) -> tuple[str | None, bool]:
@@ -41,16 +35,6 @@ def module_name_for(path: Path) -> tuple[str | None, bool]:
     return ".".join(reversed(parts)), is_package
 
 
-def _decorator_names(node: ast.AST) -> list[str]:
-    names: list[str] = []
-    for dec in getattr(node, "decorator_list", []):
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        dotted = _dotted(target)
-        if dotted is not None:
-            names.append(dotted)
-    return names
-
-
 def _dotted(node: ast.AST) -> str | None:
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -60,20 +44,6 @@ def _dotted(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
-    args = func.args
-    names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
-    return [n for n in names if n not in ("self", "cls")]
-
-
-def _annotation_is_classvar(annotation: ast.AST) -> bool:
-    for node in ast.walk(annotation):
-        dotted = _dotted(node)
-        if dotted in ("ClassVar", "typing.ClassVar"):
-            return True
-    return False
 
 
 def _collect_calls(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
@@ -92,14 +62,12 @@ def summarize_module(
     """The generic per-file summary every project rule builds on.
 
     Imports resolved to absolute dotted targets, top-level functions and
-    methods with their raw call lists, classes with bases/decorators/
-    dataclass fields, and the names of nested (closure) functions.
+    methods with their raw call lists, and classes with their bases.
     """
     imports: dict[str, str] = {}
     imported_modules: list[str] = []
     defs: dict[str, dict[str, Any]] = {}
     classes: dict[str, dict[str, Any]] = {}
-    nested: set[str] = set()
 
     base_parts = module.split(".") if module else []
     # ``from . import x`` in pkg/__init__.py resolves against pkg itself;
@@ -137,63 +105,25 @@ def summarize_module(
                     continue
                 imports[alias.asname or alias.name] = f"{target}.{alias.name}"
 
-    def add_def(qualname: str, func: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        defs[qualname] = {
-            "line": func.lineno,
-            "params": _param_names(func),
-            "kwargs": func.args.kwarg is not None,
-            "calls": _collect_calls(func),
-            "decorators": _decorator_names(func),
-        }
-
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            add_def(stmt.name, stmt)
+            defs[stmt.name] = {"calls": _collect_calls(stmt)}
         elif isinstance(stmt, ast.ClassDef):
-            bases = [b for b in (_dotted(base) for base in stmt.bases) if b]
-            decorators = _decorator_names(stmt)
-            fields: dict[str, int] = {}
-            methods: list[str] = []
-            is_dataclass = bool(
-                set(decorators).intersection(_DATACLASS_DECORATORS)
-            )
             for member in stmt.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    methods.append(member.name)
-                    add_def(f"{stmt.name}.{member.name}", member)
-                elif (
-                    is_dataclass
-                    and isinstance(member, ast.AnnAssign)
-                    and isinstance(member.target, ast.Name)
-                    and not _annotation_is_classvar(member.annotation)
-                ):
-                    fields[member.target.id] = member.lineno
+                    defs[f"{stmt.name}.{member.name}"] = {
+                        "calls": _collect_calls(member)
+                    }
             classes[stmt.name] = {
-                "line": stmt.lineno,
-                "bases": bases,
-                "decorators": decorators,
-                "dataclass": is_dataclass,
-                "fields": fields,
-                "methods": sorted(methods),
+                "bases": [b for b in (_dotted(base) for base in stmt.bases) if b]
             }
-
-    for outer in ast.walk(tree):
-        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for inner in ast.walk(outer):
-            if inner is not outer and isinstance(
-                inner, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                nested.add(inner.name)
 
     return {
         "module": module,
-        "is_package": is_package,
         "imports": imports,
         "imported_modules": sorted(set(imported_modules)),
         "defs": defs,
         "classes": classes,
-        "nested": sorted(nested),
     }
 
 
@@ -202,12 +132,10 @@ class ProjectContext:
     """Everything the cross-file rules see: summaries, symbols, call graph.
 
     ``summaries`` maps relpath -> generic summary, ``facts`` maps
-    rule_id -> relpath -> that rule's own :meth:`Rule.summarize` payload,
-    ``docs`` maps doc filename -> text (for the drift rules).
+    rule_id -> relpath -> that rule's own :meth:`Rule.summarize` payload.
     """
 
     summaries: dict[str, dict[str, Any]]
-    docs: dict[str, str] = field(default_factory=dict)
     facts: dict[str, dict[str, Any]] = field(default_factory=dict)
     by_module: dict[str, str] = field(default_factory=dict)
     callgraph: Any = None  # CallGraph; assigned by build_project
@@ -283,26 +211,12 @@ class ProjectContext:
         return None
 
 
-def load_docs(root: Path) -> dict[str, str]:
-    """Project doc files (README/DESIGN) the drift rules compare against."""
-    docs: dict[str, str] = {}
-    for name in DOC_FILENAMES:
-        candidate = Path(root) / name
-        try:
-            docs[name] = candidate.read_text(encoding="utf-8")
-        except OSError:
-            continue
-    return docs
-
-
 def build_project(
-    summaries: dict[str, dict[str, Any]],
-    docs: dict[str, str],
-    facts: dict[str, dict[str, Any]],
+    summaries: dict[str, dict[str, Any]], facts: dict[str, dict[str, Any]]
 ) -> ProjectContext:
     """Assemble the :class:`ProjectContext` (and its call graph)."""
     from .callgraph import CallGraph
 
-    project = ProjectContext(summaries=summaries, docs=docs, facts=facts)
+    project = ProjectContext(summaries=summaries, facts=facts)
     project.callgraph = CallGraph.build(project)
     return project

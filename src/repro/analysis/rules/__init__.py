@@ -1,16 +1,15 @@
 """Rule registry for :mod:`repro.analysis`.
 
 ``ALL_RULES`` is the ordered tuple the engine runs; ordering is part of the
-output contract (findings sort by path/line, ties by rule id).  Ids R10
-and R12 are retired, not reused, so existing ``noqa[...]`` pragmas and
-SARIF consumers keep their meaning.
+output contract (findings sort by path/line, ties by rule id).  Ids R10,
+R12 and R13 are retired, not reused, so existing ``noqa[...]`` pragmas
+keep their meaning.
 """
 
 from __future__ import annotations
 
 from .base import FileContext, ProjectRule, Rule, Violation
 from .checkpoint_contract import CheckpointContractRule
-from .config_drift import ConfigDriftRule
 from .defaults import MutableDefaultRule
 from .exception_taxonomy import ExceptionTaxonomyRule
 from .exceptions import SwallowedExceptionRule
@@ -33,7 +32,6 @@ ALL_RULES: tuple[Rule, ...] = (
     NanDisciplineRule(),
     IngestClockRule(),
     CheckpointContractRule(),
-    ConfigDriftRule(),
     ExceptionTaxonomyRule(),
 )
 

@@ -1,8 +1,10 @@
 """R7 — no bare ``except:`` / silently swallowed exceptions in persistence
 and streaming paths.
 
-Checkpoint save/restore and the streaming front-end are the two places an
-exception means *corrupted or lost state*.  A bare ``except:`` (which also
+Checkpoint save/restore, the streaming front-end and the runtime layers
+that write and recover state (generation rotation, supervisor recovery,
+the fleet manifest, the ingest frontier) are where an exception means
+*corrupted or lost state*.  A bare ``except:`` (which also
 eats ``KeyboardInterrupt``/``SystemExit``) or an ``except Exception: pass``
 turns a half-written checkpoint or a dropped sample into a silent wrong
 answer hours later.  Catch the narrowest type you can and either re-raise,
@@ -10,7 +12,8 @@ return an explicit degraded result, or surface the failure in the round's
 quality report.
 
 Scope: bare ``except:`` is flagged in every production module; swallowed
-broad handlers additionally in files on the checkpoint/streaming/io paths.
+broad handlers additionally in the state-path modules named by
+``_STATE_PATH_STEMS``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,16 @@ from typing import Iterator
 from .base import FileContext, Rule, Violation, dotted_name
 
 _BROAD = {"Exception", "BaseException"}
-_STATE_PATH_STEMS = {"checkpoint", "streaming", "io", "faults"}
+_STATE_PATH_STEMS = {
+    "checkpoint",
+    "streaming",
+    "io",
+    "faults",
+    "rotation",  # runtime: checkpoint generations
+    "supervisor",  # runtime: recovery and replay
+    "manager",  # fleet: the checkpoint manifest
+    "frontier",  # ingest: reorder buffer and its persisted state
+}
 
 
 def _is_state_path(ctx: FileContext) -> bool:

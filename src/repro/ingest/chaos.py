@@ -146,11 +146,14 @@ class DeliveryChaosModel:
         same way.  Timestamps are re-stamped with the sensor's clock skew.
         """
         schedule: list[tuple[int, int, int, int, SampleEnvelope]] = []
+        skews: dict[int, float] = {}  # skew(sensor) is constant: draw once
         for envelope in envelopes:
             if self.skew_magnitude > 0.0:
+                offset = skews.get(envelope.sensor)
+                if offset is None:
+                    offset = skews[envelope.sensor] = self.skew(envelope.sensor)
                 envelope = replace(
-                    envelope,
-                    timestamp=envelope.timestamp + self.skew(envelope.sensor),
+                    envelope, timestamp=envelope.timestamp + offset
                 )
             arrival = envelope.seq + self.delay(envelope.sensor, envelope.seq)
             schedule.append(

@@ -8,9 +8,9 @@ import pytest
 from repro.core import CADConfig
 from repro.timeseries import MultivariateTimeSeries
 
-#: The analyzer's rule ids; R10 and R12 are retired and never reused.
+#: The analyzer's rule ids; R10, R12 and R13 are retired and never reused.
 REGISTERED_RULE_IDS = frozenset(
-    {*(f"R{i}" for i in range(1, 10)), "R11", "R13", "R14"}
+    {*(f"R{i}" for i in range(1, 10)), "R11", "R14"}
 )
 
 

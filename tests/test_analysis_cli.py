@@ -56,11 +56,25 @@ class TestExitCodes:
         result = run_cli("no/such/dir", cwd=project)
         assert result.returncode == 2
 
-    @pytest.mark.parametrize("flag", ["--cache-dir=.lint-cache", "--baseline=b.json"])
-    def test_removed_flags_are_unknown(self, project, flag):
-        result = run_cli("pkg", flag, cwd=project)
+    @pytest.mark.parametrize(
+        "flag,error",
+        [
+            (["--cache-dir=.lint-cache"], "unrecognized arguments"),
+            (["--baseline=b.json"], "unrecognized arguments"),
+            (["--sarif-out", "x"], "unrecognized arguments"),
+            (["--format", "sarif"], "invalid choice"),
+        ],
+        ids=[
+            "--cache-dir=.lint-cache",
+            "--baseline=b.json",
+            "--sarif-out=x",
+            "--format=sarif",
+        ],
+    )
+    def test_removed_flags_are_unknown(self, project, flag, error):
+        result = run_cli("pkg", *flag, cwd=project)
         assert result.returncode == 2
-        assert "unrecognized arguments" in result.stderr
+        assert error in result.stderr
 
     def test_syntax_error_is_reported_not_crashed(self, project):
         (project / "pkg" / "broken.py").write_text("def f(:\n")
@@ -108,25 +122,6 @@ class TestListRules:
             if line and not line[0].isspace()
         }
         assert listed == REGISTERED_RULE_IDS
-
-
-class TestSarifCli:
-    def test_sarif_format_on_stdout(self, project):
-        result = run_cli("pkg/dirty.py", "--format", "sarif", cwd=project)
-        assert result.returncode == 1
-        payload = json.loads(result.stdout)
-        assert payload["version"] == "2.1.0"
-        results = payload["runs"][0]["results"]
-        assert any(r["ruleId"] == "R6" for r in results)
-
-    def test_sarif_out_writes_file_alongside_text(self, project):
-        result = run_cli(
-            "pkg/dirty.py", "--sarif-out", "out.sarif", cwd=project
-        )
-        assert result.returncode == 1
-        assert "R6" in result.stdout  # text format still printed
-        payload = json.loads((project / "out.sarif").read_text())
-        assert payload["runs"][0]["results"]
 
 
 class TestPragmaParsing:
@@ -185,54 +180,118 @@ class TestTypecheckGate:
         assert result.returncode == 0, result.stdout
 
 
+_SWALLOWED = (
+    "\n\ndef _try_remove(path):\n"
+    "    try:\n"
+    "        os.unlink(path)\n"
+    "    except Exception:\n"
+    "        pass\n"
+)
+
+#: One realistic break per kept rule, seeded into a copy of ``src/repro``:
+#: ``(rule, file under src/repro, anchor, replacement)``.  An empty anchor
+#: appends the replacement to the file; otherwise the anchor must occur
+#: in the file and is replaced once.
+SEEDED_BREAKS = [
+    # A set-driven sweep order in Louvain.
+    ("R1", "graph/louvain.py", "", (
+        "\n\ndef _broken_sweep(nodes):\n"
+        "    order = []\n"
+        "    for node in set(nodes):\n"
+        "        order.append(node)\n"
+        "    return order\n"
+    )),
+    ("R2", "core/coappearance.py", "", (
+        "\n\ndef _is_half(a):\n"
+        "    return float(a) == 0.5\n"
+    )),
+    ("R3", "graph/louvain.py", "", (
+        "\n\nimport numpy\n\n\ndef _shuffled(nodes):\n"
+        "    return list(numpy.random.permutation(nodes))\n"
+    )),
+    ("R4", "core/detector.py", "", (
+        "\n\nimport time\n\n\ndef _stamp():\n"
+        "    return time.time()\n"
+    )),
+    # The pool's worker target reads a mutable module-level dict: every
+    # worker process would see its own divergent copy.
+    ("R5", "core/parallel.py",
+        "    tenant_pipelines: dict[str, CommunityPipeline] = {}\n",
+        "    tenant_pipelines: dict[str, CommunityPipeline] = {}\n"
+        "    _SHARED_CACHE.get('warm')\n"),
+    ("R5", "core/parallel.py",
+        "def _pool_worker(tasks: Any, results: Any) -> None:\n",
+        "_SHARED_CACHE: dict[str, Any] = {}\n\n\n"
+        "def _pool_worker(tasks: Any, results: Any) -> None:\n"),
+    ("R6", "core/streaming.py", "", (
+        "\n\ndef _acc(x, acc=[]):\n"
+        "    acc.append(x)\n"
+        "    return acc\n"
+    )),
+    ("R7", "core/checkpoint.py", "", _SWALLOWED),
+    ("R7", "runtime/rotation.py", "", _SWALLOWED),
+    ("R8", "core/coappearance.py", "", (
+        "\n\ndef _mean_level(arr):\n"
+        "    return np.mean(arr)\n"
+    )),
+    ("R9", "ingest/frontier.py", "", (
+        "\n\nimport time\n\n\ndef _arrival_stamp():\n"
+        "    return time.monotonic()\n"
+    )),
+    # A writer whose key the paired loader never consumes.
+    ("R11", "core/checkpoint.py", "", (
+        "\n\ndef save_extra_state(stream):\n"
+        '    return {"kept": stream.kept, "forgotten": stream.lost}\n'
+        "\n\ndef load_extra_state(state):\n"
+        '    return state["kept"]\n'
+    )),
+    ("R14", "runtime/supervisor.py", "", (
+        "\n\ndef _refuse(reason):\n"
+        "    raise RuntimeError(reason)\n"
+    )),
+]
+
+EXPECTED_HITS = list(dict.fromkeys((rule, path) for rule, path, _, _ in SEEDED_BREAKS))
+
+
+@pytest.fixture(scope="module")
+def broken_tree_hits(tmp_path_factory):
+    """``(rule, file)`` of every finding on a copy of ``src/repro`` with
+    every seeded break applied, from one analyzer pass."""
+    dest = tmp_path_factory.mktemp("broken") / "src" / "repro"
+    shutil.copytree(
+        REPO_ROOT / "src" / "repro",
+        dest,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    for _, relpath, anchor, replacement in SEEDED_BREAKS:
+        path = dest / relpath
+        source = path.read_text(encoding="utf-8")
+        if anchor:
+            assert anchor in source, f"anchor gone from {relpath}"
+            source = source.replace(anchor, replacement, 1)
+        else:
+            source += replacement
+        path.write_text(source, encoding="utf-8")
+    report = analyze_paths([str(dest)])
+    assert not report.parse_failures, report.parse_failures
+    return {
+        (v.rule, Path(v.path).relative_to(dest).as_posix())
+        for v in report.violations
+    }
+
+
 class TestAcceptanceBreakage:
-    """Deliberately breaking R1 in louvain.py or R5 in parallel.py must be
-    caught — this is what makes the CI lint job a real gate."""
+    """Every kept rule catches a realistic break in the real tree — this is
+    what makes the CI lint job a real gate."""
 
-    def _copy_tree(self, tmp_path):
-        dest = tmp_path / "src" / "repro"
-        shutil.copytree(REPO_ROOT / "src" / "repro", dest)
-        return dest
+    @pytest.mark.parametrize(
+        "rule,relpath",
+        EXPECTED_HITS,
+        ids=[f"{rule}-{Path(relpath).stem}" for rule, relpath in EXPECTED_HITS],
+    )
+    def test_seeded_break_is_flagged(self, broken_tree_hits, rule, relpath):
+        assert (rule, relpath) in broken_tree_hits
 
-    def test_r1_break_in_louvain_is_flagged(self, tmp_path):
-        dest = self._copy_tree(tmp_path)
-        louvain = dest / "graph" / "louvain.py"
-        source = louvain.read_text()
-        # Inject an unordered iteration into the module: a set-driven loop.
-        source += (
-            "\n\ndef _broken_sweep(nodes):\n"
-            "    pending = set(nodes)\n"
-            "    order = []\n"
-            "    for node in pending:\n"
-            "        order.append(node)\n"
-            "    return order\n"
-        )
-        louvain.write_text(source)
-        report = analyze_paths([str(dest)])
-        hits = [
-            v
-            for v in report.violations
-            if v.rule == "R1" and v.path.endswith("louvain.py")
-        ]
-        assert hits, "R1 break in louvain.py was not flagged"
-
-    def test_r5_break_in_parallel_is_flagged(self, tmp_path):
-        dest = self._copy_tree(tmp_path)
-        parallel = dest / "core" / "parallel.py"
-        source = parallel.read_text()
-        # Make the pool's worker target read a mutable module-level dict:
-        # every worker process would see its own divergent copy.
-        anchor = "def _pool_worker(tasks: Any, results: Any) -> None:\n"
-        body = "    tenant_pipelines: dict[str, CommunityPipeline] = {}\n"
-        assert anchor in source and body in source
-        source = source.replace(
-            anchor, "_SHARED_CACHE: dict[str, Any] = {}\n\n\n" + anchor
-        ).replace(body, body + "    _SHARED_CACHE.get('warm')\n")
-        parallel.write_text(source)
-        report = analyze_paths([str(dest)])
-        hits = [
-            v
-            for v in report.violations
-            if v.rule == "R5" and v.path.endswith("parallel.py")
-        ]
-        assert hits, "R5 break in parallel.py was not flagged"
+    def test_each_break_trips_only_its_rule(self, broken_tree_hits):
+        assert broken_tree_hits == set(EXPECTED_HITS)

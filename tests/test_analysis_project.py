@@ -1,6 +1,7 @@
 """Whole-program analysis tests: the project index / call graph, the
-cross-file rules R11, R13 and R14, R5's cross-module pass, the SARIF emitter, and the pragma-parser
-regressions.
+cross-file rules R11 and R14, R5's cross-module pass, and the
+pragma-parser regressions.  The seeded breaks in a copy of the real tree
+live in ``test_analysis_cli.py::TestAcceptanceBreakage``.
 
 Each rule gets a miniature on-disk project (packages with real
 ``__init__.py`` chains) because the behaviour under test is exactly the
@@ -9,7 +10,6 @@ resolving a call through an import alias.
 """
 
 import ast
-import shutil
 import textwrap
 from pathlib import Path
 
@@ -17,17 +17,12 @@ import pytest
 
 from repro.analysis import ALL_RULES, analyze_paths
 from repro.analysis.callgraph import resolve_call
-from repro.analysis.engine import analyze_paths as engine_analyze_paths
 from repro.analysis.engine import parse_pragmas_source
 from repro.analysis.project import (
     build_project,
     module_name_for,
     summarize_module,
 )
-from repro.analysis.sarif import sarif_report
-from tests.conftest import REGISTERED_RULE_IDS
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_tree(root: Path, files: dict) -> Path:
@@ -40,7 +35,7 @@ def write_tree(root: Path, files: dict) -> Path:
 
 
 def lint_tree(root: Path, rules=ALL_RULES):
-    return analyze_paths([str(root)], rules, root=str(root))
+    return analyze_paths([str(root)], rules)
 
 
 def findings(root: Path, rule_id: str, **kwargs):
@@ -57,7 +52,7 @@ def fixture_project(root: Path):
         module, is_package = module_name_for(path)
         tree = ast.parse(path.read_text(encoding="utf-8"))
         summaries[relpath] = summarize_module(tree, module, is_package)
-    return build_project(summaries, {}, {})
+    return build_project(summaries, {})
 
 
 # --------------------------------------------------------------------- #
@@ -353,138 +348,6 @@ class TestR11VersionCoverage:
 
 
 # --------------------------------------------------------------------- #
-# R13 — config / CLI / docs drift
-# --------------------------------------------------------------------- #
-
-
-class TestR13ConfigDrift:
-    def test_unknown_keyword_flagged(self, tmp_path):
-        write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/config.py": """\
-                from dataclasses import dataclass
-
-                @dataclass
-                class Cfg:
-                    alpha: int = 1
-                    beta: float = 2.0
-                """,
-            "pkg/use.py": """\
-                from .config import Cfg
-
-                def make():
-                    return Cfg(alpha=2, gamma=3)
-                """,
-        })
-        hits = findings(tmp_path, "R13")
-        assert len(hits) == 1
-        assert "'gamma'" in hits[0].message
-        assert hits[0].path.endswith("use.py")
-
-    def test_known_keywords_clean(self, tmp_path):
-        write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/config.py": """\
-                from dataclasses import dataclass
-
-                @dataclass
-                class Cfg:
-                    alpha: int = 1
-                """,
-            "pkg/use.py": """\
-                from .config import Cfg
-
-                def make():
-                    return Cfg(alpha=2)
-                """,
-        })
-        assert findings(tmp_path, "R13") == []
-
-    def test_dead_flag_flagged(self, tmp_path):
-        write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/cli.py": """\
-                import argparse
-
-                def main():
-                    parser = argparse.ArgumentParser()
-                    parser.add_argument("--used-flag", type=int)
-                    parser.add_argument("--dead-flag", type=int)
-                    args = parser.parse_args()
-                    return args.used_flag
-                """,
-        })
-        hits = findings(tmp_path, "R13")
-        assert len(hits) == 1
-        assert "--dead-flag" in hits[0].message
-
-    def test_args_read_without_flag_flagged(self, tmp_path):
-        write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/cli.py": """\
-                import argparse
-
-                def main():
-                    parser = argparse.ArgumentParser()
-                    parser.add_argument("--real", type=int)
-                    args = parser.parse_args()
-                    return args.real + args.phantom
-                """,
-        })
-        hits = findings(tmp_path, "R13")
-        assert len(hits) == 1
-        assert "args.phantom" in hits[0].message
-
-    def test_subparser_dest_is_not_dead(self, tmp_path):
-        write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/cli.py": """\
-                import argparse
-
-                def main():
-                    parser = argparse.ArgumentParser()
-                    sub = parser.add_subparsers(dest="command")
-                    sub.add_parser("run")
-                    args = parser.parse_args()
-                    return args.command
-                """,
-        })
-        assert findings(tmp_path, "R13") == []
-
-    def test_undocumented_cadconfig_field_flagged(self, tmp_path):
-        write_tree(tmp_path, {
-            "README.md": "# Fixture\n\nKnobs: `alpha` is documented here.\n",
-            "pkg/__init__.py": "",
-            "pkg/config.py": """\
-                from dataclasses import dataclass
-
-                @dataclass
-                class CADConfig:
-                    alpha: int = 1
-                    hidden_knob: float = 0.5
-                """,
-        })
-        hits = findings(tmp_path, "R13")
-        assert len(hits) == 1
-        assert "hidden_knob" in hits[0].message
-
-    def test_dashed_doc_mention_counts(self, tmp_path):
-        write_tree(tmp_path, {
-            "README.md": "# Fixture\n\nUse `alpha` or `--hidden-knob`.\n",
-            "pkg/__init__.py": "",
-            "pkg/config.py": """\
-                from dataclasses import dataclass
-
-                @dataclass
-                class CADConfig:
-                    alpha: int = 1
-                    hidden_knob: float = 0.5
-                """,
-        })
-        assert findings(tmp_path, "R13") == []
-
-
-# --------------------------------------------------------------------- #
 # R14 — exception-taxonomy discipline
 # --------------------------------------------------------------------- #
 
@@ -647,40 +510,6 @@ class TestR5CrossModule:
 
 
 # --------------------------------------------------------------------- #
-# SARIF emitter
-# --------------------------------------------------------------------- #
-
-
-class TestSarif:
-    def test_report_structure(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/state.py": """\
-                def save_snapshot(engine):
-                    return {"kept": 1, "lost": 2}
-
-                def load_snapshot(state):
-                    return state["kept"]
-                """,
-        })
-        report = lint_tree(root)
-        new = [v for v in report.violations if v.rule == "R11"]
-        assert new
-        sarif = sarif_report(new, [], ALL_RULES)
-        assert sarif["version"] == "2.1.0"
-        run = sarif["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro.analysis"
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert rule_ids == {"PARSE", *REGISTERED_RULE_IDS}
-        result = run["results"][0]
-        assert result["ruleId"] == "R11"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("pkg/state.py")
-        assert location["region"]["startLine"] == new[0].line
-
-
-# --------------------------------------------------------------------- #
 # Pragma parser regressions
 # --------------------------------------------------------------------- #
 
@@ -720,32 +549,3 @@ class TestPragmaRobustness:
         })
         assert findings(root, "R1"), "string literal suppressed a finding"
 
-
-# --------------------------------------------------------------------- #
-# Acceptance breakage: seeding a real save/load mismatch
-# --------------------------------------------------------------------- #
-
-
-class TestAcceptanceBreakageR11:
-    def test_seeded_key_mismatch_in_real_tree_is_caught(self, tmp_path):
-        """Add a save/load pair to the real checkpoint module whose writer
-        emits a key the loader never consumes: the gate must trip."""
-        dest = tmp_path / "src" / "repro"
-        shutil.copytree(REPO_ROOT / "src" / "repro", dest)
-        checkpoint = dest / "core" / "checkpoint.py"
-        source = checkpoint.read_text(encoding="utf-8")
-        source += (
-            "\n\ndef save_extra_state(stream):\n"
-            '    return {"kept": stream.kept, "forgotten": stream.lost}\n'
-            "\n\ndef load_extra_state(state):\n"
-            '    return state["kept"]\n'
-        )
-        checkpoint.write_text(source, encoding="utf-8")
-        report = engine_analyze_paths([str(dest)])
-        hits = [
-            v
-            for v in report.violations
-            if v.rule == "R11" and v.path.endswith("checkpoint.py")
-            and "'forgotten'" in v.message
-        ]
-        assert hits, "seeded save/load key mismatch was not caught"

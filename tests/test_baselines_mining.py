@@ -124,6 +124,24 @@ class TestIForest:
         b = IsolationForest(seed=7).fit(train).score(test)
         np.testing.assert_array_equal(a, b)
 
+    def test_constant_training_data_grows_single_leaf_trees(self):
+        train = MultivariateTimeSeries(np.full((3, 64), 2.0))
+        forest = IsolationForest(n_estimators=5).fit(train)
+        assert all(tree.is_leaf for tree in forest._trees)
+        test = MultivariateTimeSeries(clean_series(seed=3, n=3, length=40))
+        scores = forest.score(test)
+        assert np.all(scores == scores[0])
+
+    def test_split_that_separates_nothing_ends_the_branch(self):
+        # Adjacent floats: half the drawn thresholds round onto the lower
+        # value and put every point on one side; that node is a leaf.
+        values = np.full((1, 64), 1e6)
+        values[0, ::2] = np.nextafter(1e6, np.inf)
+        series = MultivariateTimeSeries(values)
+        forest = IsolationForest(n_estimators=20, seed=0).fit(series)
+        assert any(tree.is_leaf for tree in forest._trees)
+        assert np.isfinite(forest.score(series)).all()
+
     def test_average_path_length(self):
         assert average_path_length(1) == 0.0
         assert average_path_length(2) == 1.0

@@ -1,8 +1,31 @@
 """Tests for the command-line interface."""
 
+import argparse
+import ast
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.core import CADConfig
+from repro.datasets import load_dataset
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def parser_dests(parser):
+    """Every dest ``parser`` and its subparsers bind, bar --help/--version."""
+    dests = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                dests |= parser_dests(sub)
+        if not isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
+            dests.add(action.dest)
+    return dests
 
 
 class TestParser:
@@ -127,3 +150,77 @@ class TestRunCommand:
         )
         assert code == 0
         assert "health" in capsys.readouterr().out
+
+    def test_frontier_under_supervision(self, capsys):
+        code = main(
+            [
+                "run",
+                "--dataset",
+                "smd-sim-02",
+                "--supervised",
+                "--disorder-horizon",
+                "4",
+                "--late-policy",
+                "drop",
+                "--quarantine-after",
+                "3",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        data = load_dataset("smd-sim-02")
+        # In-order delivery: every envelope is accepted and no row is lost.
+        assert f"accepted {data.n_sensors * data.test.length} |" in out
+        assert "late 0 |" in out and "rows dropped 0" in out
+        assert "health: healthy" in out
+
+
+class TestFleetRunCommand:
+    def test_run_then_resume_from_the_manifest(self, tmp_path, capsys):
+        argv = [
+            "fleet",
+            "run",
+            "--dataset",
+            "smd-sim-02",
+            "--tenants",
+            "2",
+            "--manifest-dir",
+            str(tmp_path / "fleet"),
+            "--health-out",
+        ]
+        assert main([*argv, str(tmp_path / "first.json")]) == 0
+        assert "fleet manifest:" in capsys.readouterr().out
+        first = json.loads((tmp_path / "first.json").read_text())
+        assert first["healthy"] and first["checkpoints_written"] > 0
+
+        # The second run adopts the manifest: each tenant replays only the
+        # tail after its newest checkpoint and ends on the same round.
+        assert main([*argv, str(tmp_path / "second.json")]) == 0
+        second = json.loads((tmp_path / "second.json").read_text())
+        assert second["healthy"]
+        assert second["rounds_completed"] == first["rounds_completed"]
+        assert 0 < second["samples_ingested"] < first["samples_ingested"]
+
+
+class TestConfigSurface:
+    """The parser, ``cli.py``'s reads and README's knob table agree."""
+
+    def test_flags_reads_and_docs_agree(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        reads = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        dests = parser_dests(build_parser())
+        assert dests - reads == set(), "flags whose dest cli.py never reads"
+        assert reads - dests == set(), "args reads with no flag behind them"
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        undocumented = [
+            field.name
+            for field in dataclasses.fields(CADConfig)
+            if f"| `{field.name}` |" not in readme
+        ]
+        assert undocumented == [], "CADConfig fields missing from README's table"

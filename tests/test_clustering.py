@@ -119,6 +119,14 @@ class TestKShape:
         result = kshape(rng.standard_normal((10, 16)), 1, rng)
         assert set(result.labels) == {0}
 
+    def test_iteration_cap_returns_the_last_assignment(self):
+        data = self.two_shape_data(np.random.default_rng(8))
+        converged = kshape(data, 2, np.random.default_rng(9))
+        assert converged.n_iterations > 1
+        capped = kshape(data, 2, np.random.default_rng(9), max_iterations=1)
+        assert capped.n_iterations == 1
+        assert capped.labels.shape == (data.shape[0],)
+
     def test_invalid_k(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
