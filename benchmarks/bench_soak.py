@@ -13,8 +13,7 @@ stalls, torn checkpoints and quarantine are checked against the reference
 engine on generated cases by ``tests/test_oracle.py``.
 
 Results go to ``BENCH_soak.json``.  The helpers here (synthetic feed,
-timed bare run) are shared with ``bench_delivery.py`` and
-``bench_fleet.py``.
+timed bare run) are shared with ``bench_fleet.py``.
 """
 
 from __future__ import annotations

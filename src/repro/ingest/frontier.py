@@ -186,8 +186,9 @@ class FrontierState:
     next_emit: int
     max_row: int
     counters: dict[str, int]
-    #: Pending rows by grid position: (values, producer seq per cell).
-    pending: dict[int, tuple[np.ndarray, np.ndarray]]
+    #: Pending rows by grid position: (values, producer seq per cell),
+    #: NaN and -1 marking cells not yet received.
+    pending: dict[int, tuple[list[float], list[int]]]
 
 
 class IngestFrontier:
@@ -202,11 +203,21 @@ class IngestFrontier:
 
     def __init__(self, config: FrontierConfig) -> None:
         self._cfg = config
-        # Pending rows by grid position: (values, producer seq per cell).
-        self._pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Hot-path copies of the config, read once per envelope.
+        self._n_sensors = config.n_sensors
+        self._skew = config.skew
+        self._epoch = config.epoch
+        self._period = config.period
+        self._lag = max(1, config.disorder_horizon)
+        self._nan_patch = config.late_policy == "nan_patch"
+        # Pending rows by grid position: (values, producer seq per cell) as
+        # plain lists, NaN and -1 marking cells not yet received.  Each
+        # emitted row is a fresh array built from its values.
+        self._pending: dict[int, tuple[list[float], list[int]]] = {}
+        # ``StreamSupervisor.ingest`` reads ``_next_emit`` and ``_watermark``.
         self._next_emit = 0
         self._max_row = -1
-        self._watermark = -1 - max(1, config.disorder_horizon)
+        self._watermark = -1 - self._lag
         self.accepted = 0
         self.reordered = 0
         self.deduped = 0
@@ -233,7 +244,7 @@ class IngestFrontier:
 
     def _set_max_row(self, max_row: int) -> None:
         self._max_row = max_row
-        self._watermark = max_row - max(1, self._cfg.disorder_horizon)
+        self._watermark = max_row - self._lag
 
     @property
     def next_emit(self) -> int:
@@ -244,31 +255,11 @@ class IngestFrontier:
     # Ingest
     # ----------------------------------------------------------------- #
 
-    def position(self, envelope: SampleEnvelope) -> int:
-        """Grid position of one envelope (skew-corrected, snapped)."""
-        timestamp = envelope.timestamp
-        if self._cfg.skew is not None:
-            timestamp -= self._cfg.skew[envelope.sensor]
-        try:
-            pos = int(round((timestamp - self._cfg.epoch) / self._cfg.period))
-        except OverflowError:
-            # A finite timestamp can still land past float range once
-            # skew-corrected and divided by a tiny period.
-            raise EnvelopeValidationError(
-                "timestamp",
-                f"{envelope.timestamp} maps to a grid position beyond float "
-                f"range (epoch {self._cfg.epoch}, period {self._cfg.period})",
-            ) from None
-        if pos < 0:
-            raise EnvelopeValidationError(
-                "timestamp",
-                f"{envelope.timestamp} maps to grid position {pos}, before "
-                f"the epoch {self._cfg.epoch}",
-            )
-        return pos
-
     def push(self, envelope: SampleEnvelope, *, max_release: int | None = None) -> None:
         """Stage one envelope; flushable rows come off :meth:`pop_ready`.
+
+        The envelope's grid position is its timestamp, less the sensor's
+        skew offset, snapped to ``round((t - epoch) / period)``.
 
         Raises :class:`EnvelopeValidationError` for an out-of-range sensor
         or a pre-epoch or off-grid timestamp, :class:`SequenceConflictError` when
@@ -288,22 +279,37 @@ class IngestFrontier:
             raise EnvelopeValidationError(
                 "envelope", f"expected SampleEnvelope, got {type(envelope).__name__}"
             )
-        if envelope.sensor >= self._cfg.n_sensors:
+        sensor = envelope.sensor
+        if sensor >= self._n_sensors:
             raise EnvelopeValidationError(
-                "sensor",
-                f"{envelope.sensor} outside [0, {self._cfg.n_sensors})",
+                "sensor", f"{sensor} outside [0, {self._n_sensors})"
             )
-        pos = self.position(envelope)
+        timestamp = envelope.timestamp
+        if self._skew is not None:
+            timestamp -= self._skew[sensor]
+        try:
+            pos = round((timestamp - self._epoch) / self._period)
+        except OverflowError:
+            # A finite timestamp can still land past float range once
+            # skew-corrected and divided by a tiny period.
+            raise EnvelopeValidationError(
+                "timestamp",
+                f"{envelope.timestamp} maps to a grid position beyond float "
+                f"range (epoch {self._epoch}, period {self._period})",
+            ) from None
+        if pos < 0:
+            raise EnvelopeValidationError(
+                "timestamp",
+                f"{envelope.timestamp} maps to grid position {pos}, before "
+                f"the epoch {self._epoch}",
+            )
+        max_row = self._max_row
         if (
-            pos > self._max_row  # only a new newest row moves the watermark
+            pos > max_row  # only a new newest row moves the watermark
             and max_release is not None
-            and self._cfg.late_policy == "nan_patch"
+            and self._nan_patch
         ):
-            released = (
-                pos
-                - max(1, self._cfg.disorder_horizon)
-                - max(self._watermark, self._next_emit - 1)
-            )
+            released = pos - self._lag - max(self._watermark, self._next_emit - 1)
             if released > max_release:
                 raise EnvelopeValidationError(
                     "timestamp",
@@ -314,25 +320,22 @@ class IngestFrontier:
         if pos < self._next_emit:
             self.late_dropped += 1
             return
-        if pos < self._max_row:
+        if pos < max_row:
             self.reordered += 1
         entry = self._pending.get(pos)
         if entry is None:
-            entry = (
-                np.full(self._cfg.n_sensors, np.nan),
-                np.full(self._cfg.n_sensors, -1, dtype=np.int64),
-            )
-            self._pending[pos] = entry
-        row, seqs = entry
-        held = int(seqs[envelope.sensor])
+            n = self._n_sensors
+            entry = self._pending[pos] = ([math.nan] * n, [-1] * n)
+        values, seqs = entry
+        held = seqs[sensor]
         if held >= 0:
             if held == envelope.seq:
                 self.deduped += 1
                 return
-            raise SequenceConflictError(envelope.sensor, pos, held, envelope.seq)
-        row[envelope.sensor] = envelope.value
-        seqs[envelope.sensor] = envelope.seq
-        if pos > self._max_row:
+            raise SequenceConflictError(sensor, pos, held, envelope.seq)
+        values[sensor] = envelope.value
+        seqs[sensor] = envelope.seq
+        if pos > max_row:
             self._set_max_row(pos)
         self.accepted += 1
 
@@ -364,7 +367,7 @@ class IngestFrontier:
         flushable row.  None means the row was dropped."""
         pos = self._next_emit
         entry = self._pending.pop(pos, None)
-        if entry is None and self._cfg.late_policy == "drop":
+        if entry is None and not self._nan_patch:
             # Every row before the next pending one is wholly missing, so
             # each would be dropped in turn: drop the run in one step.  A
             # timestamp jump then costs O(pending rows), not O(jump).
@@ -374,19 +377,19 @@ class IngestFrontier:
             return None
         self._next_emit = pos + 1
         if entry is None:
-            values = np.full(self._cfg.n_sensors, np.nan)
-            missing = self._cfg.n_sensors
+            missing = self._n_sensors
         else:
             values, seqs = entry
-            missing = int((seqs < 0).sum())
-        if self._cfg.late_policy == "drop":
-            if missing > 0:
-                self.rows_dropped += 1
-                return None
-        else:
+            missing = seqs.count(-1)
+        if self._nan_patch:
             self.nan_patched += missing
+        elif missing > 0:
+            self.rows_dropped += 1
+            return None
         self.rows_emitted += 1
-        return values
+        if entry is None:
+            return np.full(self._n_sensors, np.nan)
+        return np.array(values)
 
     # ----------------------------------------------------------------- #
     # Introspection / checkpointing
@@ -414,12 +417,11 @@ class IngestFrontier:
             "max_row": self._max_row,
             "counters": {name: int(getattr(self, name)) for name in _COUNTERS},
             "pending": {
-                str(pos): [None if np.isnan(v) else float(v) for v in row]
-                for pos, (row, _) in sorted(self._pending.items())
+                str(pos): [None if math.isnan(v) else v for v in values]
+                for pos, (values, _) in sorted(self._pending.items())
             },
             "pending_seq": {
-                str(pos): [int(s) for s in seqs]
-                for pos, (_, seqs) in sorted(self._pending.items())
+                str(pos): list(seqs) for pos, (_, seqs) in sorted(self._pending.items())
             },
         }
 
@@ -436,24 +438,25 @@ class IngestFrontier:
             next_emit = int(state["next_emit"])
             max_row = int(state["max_row"])
             counters = {name: int(state["counters"][name]) for name in _COUNTERS}
-            pending: dict[int, np.ndarray] = {}
-            pending_seq: dict[int, np.ndarray] = {}
+            pending: dict[int, list[float]] = {}
+            pending_seq: dict[int, list[int]] = {}
             for key, row in state["pending"].items():
-                if len(row) != self._cfg.n_sensors:
+                if len(row) != self._n_sensors:
                     raise FrontierStateError(
                         f"pending row {key} has {len(row)} cells, expected "
-                        f"{self._cfg.n_sensors}"
+                        f"{self._n_sensors}"
                     )
-                pending[int(key)] = np.array(
-                    [np.nan if v is None else float(v) for v in row]
-                )
+                pending[int(key)] = [math.nan if v is None else float(v) for v in row]
             for key, seqs in state["pending_seq"].items():
-                if len(seqs) != self._cfg.n_sensors:
+                if len(seqs) != self._n_sensors:
                     raise FrontierStateError(
                         f"pending_seq row {key} has {len(seqs)} cells, expected "
-                        f"{self._cfg.n_sensors}"
+                        f"{self._n_sensors}"
                     )
-                pending_seq[int(key)] = np.asarray(seqs, dtype=np.int64)
+                row_seqs = [int(s) for s in seqs]
+                if min(row_seqs) < -1:
+                    raise FrontierStateError(f"pending_seq row {key} holds a seq below -1")
+                pending_seq[int(key)] = row_seqs
         except FrontierStateError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -481,6 +484,11 @@ class IngestFrontier:
         parsed = state if isinstance(state, FrontierState) else self.parse_state(state)
         self._next_emit = parsed.next_emit
         self._set_max_row(parsed.max_row)
-        self._pending = dict(parsed.pending)
+        # Copied: pushes fill pending rows in place, and one parsed state
+        # may be adopted more than once.
+        self._pending = {
+            pos: (list(values), list(seqs))
+            for pos, (values, seqs) in parsed.pending.items()
+        }
         for name, count in parsed.counters.items():
             setattr(self, name, count)

@@ -515,8 +515,17 @@ class StreamSupervisor:
         full supervised pipeline, so a checkpoint written mid-flush still
         captures every not-yet-consumed row inside the frontier state.
         """
-        frontier = self._require_frontier()
+        frontier = self._frontier
+        if frontier is None:
+            frontier = self._require_frontier()
         frontier.push(envelope, max_release=self._sup.queue_capacity)
+        # Most envelopes leave no row due: about one per row's worth of
+        # sensors moves the watermark.  The frontier's fields are read
+        # directly: on this per-envelope path the ``next_emit`` and
+        # ``watermark`` properties cost more than the ``pop_ready`` call
+        # they would save.
+        if frontier._next_emit > frontier._watermark:
+            return []
         records: list[RoundRecord] = []
         while True:
             row = frontier.pop_ready()
@@ -535,7 +544,10 @@ class StreamSupervisor:
         gap (see :meth:`IngestFrontier.push`).  :meth:`ingest` applies the
         same bound.
         """
-        self._require_frontier().push(envelope, max_release=self._sup.queue_capacity)
+        frontier = self._frontier
+        if frontier is None:
+            frontier = self._require_frontier()
+        frontier.push(envelope, max_release=self._sup.queue_capacity)
 
     def ingest_many(
         self, envelopes: Iterable["SampleEnvelope"]

@@ -200,6 +200,10 @@ class TestFleetRunCommand:
         assert second["healthy"]
         assert second["rounds_completed"] == first["rounds_completed"]
         assert 0 < second["samples_ingested"] < first["samples_ingested"]
+        # The manifest restores the cycle count, and the resumed run pumps
+        # once per index it feeds: from the earliest tenant's resume point.
+        fed = max(t["samples_ingested"] for t in second["tenants"].values())
+        assert second["cycles"] == first["cycles"] + fed
 
 
 class TestConfigSurface:

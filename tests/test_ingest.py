@@ -9,9 +9,12 @@ delivery.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import correlated_values
 from repro.core import CADConfig, InvalidSampleError, StreamingCAD
@@ -204,6 +207,18 @@ class TestFrontierBasics:
             frontier.push(SampleEnvelope(sensor=0, seq=6, timestamp=5.4, value=2.0))
         assert excinfo.value.sensor == 0
         assert (excinfo.value.held_seq, excinfo.value.new_seq) == (5, 6)
+
+    def test_seq_past_int64_is_staged_deduped_and_checkpointed(self):
+        # Envelope seqs are unbounded ints; a fixed-width seq store
+        # overflowed past 2**63 with an untyped error.
+        frontier = IngestFrontier(FrontierConfig(n_sensors=1, disorder_horizon=1))
+        envelope = SampleEnvelope(sensor=0, seq=2**63, timestamp=0.0, value=1.0)
+        frontier.push(envelope)
+        frontier.push(envelope)
+        assert (frontier.stats().accepted, frontier.stats().deduped) == (1, 1)
+        resumed = IngestFrontier(frontier.config)
+        resumed.restore_state(json.loads(json.dumps(frontier.to_state())))
+        assert resumed.to_state() == frontier.to_state()
 
     def test_late_envelope_is_counted_not_raised(self):
         values = np.arange(10.0).reshape(1, 10)
@@ -468,6 +483,10 @@ class TestStateRoundtrip:
             lambda s: {**s, "next_emit": -3},  # before the grid origin
             lambda s: {**s, "max_row": 0},  # newest row behind the frontier
             lambda s: {**s, "max_row": 4},  # pending row past the newest row
+            lambda s: {  # a seq below the empty-cell marker
+                **s,
+                "pending_seq": {**s["pending_seq"], "5": [5, -2, -1]},
+            },
         ],
     )
     def test_malformed_state_raises_typed_error(self, corrupt):
@@ -476,6 +495,176 @@ class TestStateRoundtrip:
         fresh = IngestFrontier(FrontierConfig(n_sensors=3, disorder_horizon=4))
         with pytest.raises(FrontierStateError):
             fresh.restore_state(corrupt(state))
+
+
+    #: A version-1 snapshot written by hand: row 5 holds an explicit NaN
+    #: reading (seq 5), row 6 was never seen, row 7 misses two cells.
+    GOLDEN = {
+        "format": "repro-ingest-frontier",
+        "version": 1,
+        "next_emit": 5,
+        "max_row": 7,
+        "counters": {
+            "accepted": 19,
+            "reordered": 3,
+            "deduped": 2,
+            "late_dropped": 1,
+            "nan_patched": 0,
+            "rows_emitted": 5,
+            "rows_dropped": 0,
+        },
+        "pending": {"5": [1.5, None, -2.25], "7": [None, 0.0, None]},
+        "pending_seq": {"5": [5, 5, 5], "7": [-1, 7, -1]},
+    }
+
+    def test_golden_snapshot_restores_and_reserialises_equal(self):
+        frontier = IngestFrontier(FrontierConfig(n_sensors=3, disorder_horizon=4))
+        frontier.restore_state(json.loads(json.dumps(self.GOLDEN)))
+        assert frontier.to_state() == self.GOLDEN
+        assert (frontier.next_emit, frontier.watermark) == (5, 3)
+        # The filled cell dedups; an empty one still takes its envelope.
+        frontier.push(SampleEnvelope(sensor=1, seq=5, timestamp=5.0, value=9.0))
+        frontier.push(SampleEnvelope(sensor=0, seq=7, timestamp=7.0, value=4.0))
+        rows = list(frontier.drain())
+        expected = [[1.5, np.nan, -2.25], [np.nan] * 3, [4.0, 0.0, np.nan]]
+        assert len(rows) == 3
+        for row, want in zip(rows, expected):
+            np.testing.assert_array_equal(row, want)
+        stats = frontier.stats()
+        assert (stats.deduped, stats.accepted, stats.nan_patched) == (3, 20, 4)
+
+
+@st.composite
+def schedules(draw):
+    """A frontier config and a delivery schedule: in-horizon shuffles and
+    late originals, redelivery, clock skew, seq conflicts and forward
+    timestamp jumps, pushed under one ``max_release``."""
+    n = draw(st.integers(1, 4))
+    horizon = draw(st.integers(0, 5))
+    length = draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, length))
+    values[rng.random((n, length)) < 0.1] = np.nan
+    delivery = DeliveryChaosModel(
+        seed=seed,
+        out_of_order_rate=draw(st.sampled_from([0.0, 0.3, 0.6])),
+        max_disorder=draw(st.integers(0, 2 * horizon + 2)),
+        redelivery_rate=draw(st.sampled_from([0.0, 0.2])),
+        redelivery_max_delay=draw(st.integers(0, 3 * horizon + 3)),
+        skew_magnitude=draw(st.sampled_from([0.0, 0.4, 3.0])),
+    )
+    envelopes = delivery.deliver(envelopes_from_matrix(values))
+    for _ in range(draw(st.integers(0, 3))):
+        # Another seq claiming an existing envelope's cell.
+        source = envelopes[draw(st.integers(0, len(envelopes) - 1))]
+        conflict = replace(source, seq=source.seq + 1000)
+        envelopes.insert(draw(st.integers(0, len(envelopes))), conflict)
+    for _ in range(draw(st.integers(0, 2))):
+        jump = draw(st.integers(2, 40))
+        source = envelopes[draw(st.integers(0, len(envelopes) - 1))]
+        ahead = replace(
+            source, seq=source.seq + jump, timestamp=source.timestamp + jump
+        )
+        envelopes.insert(draw(st.integers(0, len(envelopes))), ahead)
+    config = FrontierConfig(
+        n_sensors=n,
+        disorder_horizon=horizon,
+        late_policy=draw(st.sampled_from(["nan_patch", "drop"])),
+        skew=delivery.skews(n) if delivery.skew_magnitude else None,
+    )
+    max_release = draw(st.sampled_from([None, 1, 3, 1000]))
+    return config, envelopes, max_release
+
+
+def feed_schedule(frontier, envelopes, max_release):
+    """Push every envelope, popping rows as they become due; return the
+    rows and how many pushes were refused.  A refusal must leave the
+    frontier's state as it was."""
+    rows, refused = [], 0
+    for envelope in envelopes:
+        before = frontier.to_state()
+        try:
+            frontier.push(envelope, max_release=max_release)
+        except EnvelopeValidationError:
+            assert frontier.to_state() == before
+            refused += 1
+        except SequenceConflictError:
+            refused += 1
+        rows.extend(pop_all_ready(frontier))
+    return rows, refused
+
+
+def finish(frontier, envelopes, max_release):
+    """Feed the rest of a schedule and drain: rows, refusals, counters
+    and the final state."""
+    rows, refused = feed_schedule(frontier, envelopes, max_release)
+    rows.extend(frontier.drain())
+    return rows, refused, frontier.stats(), frontier.to_state()
+
+
+SCHEDULES = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+class TestFrontierProperties:
+    @SCHEDULES
+    @given(case=schedules())
+    def test_every_push_is_accepted_deduped_late_or_refused(self, case):
+        config, envelopes, max_release = case
+        frontier = IngestFrontier(config)
+        rows, refused = feed_schedule(frontier, envelopes, max_release)
+        rows.extend(frontier.drain())
+        stats = frontier.stats()
+        assert stats.accepted + stats.deduped + stats.late_dropped == (
+            len(envelopes) - refused
+        )
+        # Every grid row up to the newest was emitted or dropped, once.
+        assert stats.rows_emitted == len(rows)
+        assert stats.rows_emitted + stats.rows_dropped == frontier.next_emit
+        assert stats.pending_rows == stats.watermark_lag == 0
+
+    @SCHEDULES
+    @given(case=schedules())
+    def test_emitted_rows_are_fresh_arrays(self, case):
+        """Scribbling on every row one frontier hands out changes neither
+        its state nor its later rows; rows a twin frontier handed out keep
+        their values to the end (the supervisor's replay log holds them)."""
+        config, envelopes, max_release = case
+        mutated, untouched = IngestFrontier(config), IngestFrontier(config)
+        held = []
+        for envelope in [*envelopes, None]:
+            if envelope is None:  # end of stream
+                got, want = list(mutated.drain()), list(untouched.drain())
+            else:
+                got = feed_schedule(mutated, [envelope], max_release)[0]
+                want = feed_schedule(untouched, [envelope], max_release)[0]
+            assert len(got) == len(want)
+            for row, expected in zip(got, want):
+                np.testing.assert_array_equal(row, expected)
+                row[:] = 12345.0
+                held.append((expected, expected.copy()))
+            assert mutated.to_state() == untouched.to_state()
+        for row, value in held:
+            np.testing.assert_array_equal(row, value)
+
+    @SCHEDULES
+    @given(case=schedules(), cut=st.floats(0, 1))
+    def test_state_roundtrip_at_any_point_resumes_identically(self, case, cut):
+        config, envelopes, max_release = case
+        at = int(cut * len(envelopes))
+        live = IngestFrontier(config)
+        feed_schedule(live, envelopes[:at], max_release)
+        resumed = IngestFrontier(config)
+        resumed.restore_state(json.loads(json.dumps(live.to_state())))
+        assert resumed.stats() == live.stats()
+        assert resumed.watermark == live.watermark
+        (rows, *tail), (resumed_rows, *resumed_tail) = [
+            finish(frontier, envelopes[at:], max_release) for frontier in (live, resumed)
+        ]
+        assert resumed_tail == tail
+        assert len(resumed_rows) == len(rows)
+        for got, want in zip(resumed_rows, rows):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDeliveryChaosModel:

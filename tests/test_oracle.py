@@ -20,7 +20,7 @@ every attempt, ``EnvelopeValidationError`` (state untouched) for a
 timestamp jump past the queue, and ``RecoveryError`` when every retained
 checkpoint generation was torn.  The ``@example`` cases are the soak
 configurations the bench harnesses used to gate on; each asserts that the
-faults it injects fired.
+faults it injects fired, and the clean in-order delivery that none did.
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ class Case:
     offload_jobs: int = 0
     #: Counters that must end above zero (the hand-picked examples).
     fired: tuple[str, ...] = ()
+    #: Counters that must end at zero (the hand-picked examples).
+    quiet: tuple[str, ...] = ()
 
     @property
     def config(self) -> CADConfig:
@@ -521,6 +523,8 @@ def assert_matches_reference(case: Case, run: Run | None, history=None) -> None:
     assert run.records == expected
     for name in case.fired:
         assert run.counters[name] > 0, f"{name} never fired"
+    for name in case.quiet:
+        assert run.counters[name] == 0, f"{name} fired on a clean feed"
 
 
 # --------------------------------------------------------------------- #
@@ -666,6 +670,19 @@ FLAPPING_UNDER_CRASHES = replace(
     chaos=ChaosModel(seed=2023, crash_rate=0.05),
     fired=("breaker_trips", "breakers_reclosed", "crashes_recovered"),
 )
+#: Clean in-order delivery: the frontier must pass the grid through
+#: without re-sequencing, absorbing or dropping anything.
+CLEAN_DELIVERY = Case(
+    **_SOAK,
+    horizon=16,
+    delivery=DeliveryChaosModel(seed=2023),
+    quiet=(
+        "samples_reordered",
+        "samples_deduped",
+        "samples_late_dropped",
+        "rows_dropped",
+    ),
+)
 DELIVERY_CHAOS = Case(
     **_SOAK,
     horizon=16,
@@ -765,6 +782,7 @@ def test_quarantined_input_is_the_reference_input(supervisor, case):
 
 @ORACLE
 @given(case=frontier_cases())
+@example(case=CLEAN_DELIVERY)
 @example(case=DELIVERY_CHAOS)
 @example(case=LATE_DATA_NAN_PATCH)
 @example(case=LATE_DATA_DROP)
