@@ -3,11 +3,8 @@
 from .anomalies import ANOMALY_TYPES, AnomalySpec, InjectionContext, inject_anomaly
 from .faults import (
     FaultModel,
-    inject_clock_skew,
     inject_duplicates,
     inject_missing_at_random,
-    inject_out_of_order,
-    inject_redelivery,
     inject_sensor_dropout,
     inject_sensor_flapping,
     inject_stuck_at,
@@ -36,9 +33,6 @@ __all__ = [
     "inject_stuck_at",
     "inject_duplicates",
     "inject_sensor_flapping",
-    "inject_out_of_order",
-    "inject_redelivery",
-    "inject_clock_skew",
     "NetworkConfig",
     "SensorNetworkSimulator",
     "GeneratedSeries",

@@ -14,13 +14,12 @@ this setting):
   span (values look valid but carry no information);
 * **duplicated / late samples** — a timestamp redelivers the previous
   sample for every sensor (stale data on time-axis hiccups);
-* **delivery faults** — bounded out-of-order swaps, stale redelivery with
-  a configurable lag, and per-sensor clock skew (a sensor's whole series
-  shifted along the time axis).  These share one fault vocabulary with the
-  envelope-level :class:`~repro.ingest.DeliveryChaosModel`: the same
-  ``out_of_order`` / ``redelivery`` / ``skew`` knobs, applied to an
-  already-materialised ``(n, T)`` matrix instead of an envelope stream —
-  i.e. what the detector sees when no ingest frontier repaired delivery.
+* **sensor flapping** — a NaN square wave over a span (a loose connector
+  that repeatedly trips and clears).
+
+Transport faults — out-of-order delivery, redelivery and producer clock
+skew — live in one place, :class:`~repro.ingest.DeliveryChaosModel`, which
+schedules them over an envelope stream for the ingest frontier to repair.
 
 All injectors copy their input; the clean array is never modified.  A
 :class:`FaultModel` bundles a full corruption scenario behind one seeded,
@@ -42,9 +41,6 @@ __all__ = [
     "inject_stuck_at",
     "inject_duplicates",
     "inject_sensor_flapping",
-    "inject_out_of_order",
-    "inject_redelivery",
-    "inject_clock_skew",
 ]
 
 
@@ -149,82 +145,6 @@ def inject_sensor_flapping(
     return values
 
 
-def inject_out_of_order(
-    values: np.ndarray, rate: float, span: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Swap random timestamps with a later one at most ``span`` away.
-
-    Each time point ``t`` is independently chosen with probability
-    ``rate`` and its column swapped with column ``t + d``,
-    ``d ~ Uniform{1..span}`` (clamped at the series end) — bounded
-    disorder, the matrix-level mirror of delayed envelope delivery.
-    Swaps apply sequentially, so overlapping hits compose like real
-    requeue jitter.  The series length is unchanged.
-    """
-    values = _as_matrix(values)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rate must be in [0, 1), got {rate}")
-    if span < 1:
-        raise ValueError(f"span must be >= 1, got {span}")
-    length = values.shape[1]
-    if rate > 0.0 and length > 1:
-        hits = np.flatnonzero(rng.random(length - 1) < rate)
-        displacements = rng.integers(1, span + 1, size=hits.size)
-        for t, d in zip(hits, displacements):
-            other = min(int(t) + int(d), length - 1)
-            values[:, [t, other]] = values[:, [other, t]]
-    return values
-
-
-def inject_redelivery(
-    values: np.ndarray, rate: float, lag: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Redeliver a ``lag``-old sample at random timestamps.
-
-    Generalises :func:`inject_duplicates` (``lag=1``): each time point
-    ``t >= lag`` is independently replaced, with probability ``rate``, by
-    the (already possibly redelivered) column ``t - lag`` — a retry queue
-    flushing data ``lag`` ticks stale.  The series length is unchanged.
-    """
-    values = _as_matrix(values)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rate must be in [0, 1), got {rate}")
-    if lag < 1:
-        raise ValueError(f"lag must be >= 1, got {lag}")
-    length = values.shape[1]
-    if rate > 0.0 and length > lag:
-        hits = np.flatnonzero(rng.random(length - lag) < rate) + lag
-        for t in hits:  # sequential: runs of redelivery repeat one sample
-            values[:, t] = values[:, t - lag]
-    return values
-
-
-def inject_clock_skew(values: np.ndarray, sensor: int, shift: int) -> np.ndarray:
-    """Shift one sensor's series ``shift`` samples along the time axis.
-
-    Positive ``shift`` models a slow producer clock (readings land late:
-    ``values[sensor, t] = clean[sensor, t - shift]``), negative a fast one.
-    The vacated edge has no data and becomes NaN — missing, per degraded
-    semantics, not fabricated.  Ground-truth labels of the *other* sensors
-    stay valid; the skewed sensor's correlations decay with ``|shift|``,
-    which is exactly the failure mode CSCAD attributes to unsynchronised
-    collectors.
-    """
-    values = _as_matrix(values)
-    n, length = values.shape
-    if not 0 <= sensor < n:
-        raise ValueError(f"sensor {sensor} outside [0, {n})")
-    if abs(shift) >= length:
-        raise ValueError(f"|shift| must be < length {length}, got {shift}")
-    if shift > 0:
-        values[sensor, shift:] = values[sensor, : length - shift]
-        values[sensor, :shift] = np.nan
-    elif shift < 0:
-        values[sensor, :shift] = values[sensor, -shift:]
-        values[sensor, shift:] = np.nan
-    return values
-
-
 @dataclass(frozen=True)
 class FaultModel:
     """A reproducible corruption scenario for one ``(n, T)`` stream.
@@ -242,26 +162,12 @@ class FaultModel:
     flapping:
         ``(sensor, start, stop, period, duty)`` spans turned into a NaN
         square wave (see :func:`inject_sensor_flapping`).
-    out_of_order:
-        Probability each timestamp is swapped with a later one at most
-        ``out_of_order_span`` away (see :func:`inject_out_of_order`).
-    out_of_order_span:
-        Maximum displacement of an out-of-order swap, in samples.
-    redelivery:
-        Probability each timestamp redelivers the ``redelivery_lag``-old
-        sample (see :func:`inject_redelivery`).
-    redelivery_lag:
-        Staleness of redelivered samples, in samples.
-    skew:
-        ``(sensor, shift)`` pairs: each sensor's series shifted ``shift``
-        samples along the time axis (see :func:`inject_clock_skew`).
     seed:
         Seed of the private RNG; the same model applied to the same values
         always yields the same corruption.
 
-    Faults compound in a fixed order — duplicates, redelivery,
-    out-of-order, stuck-at, flapping, dropout, clock skew, then
-    missing-at-random — so value-level and ordering faults act on real
+    Faults compound in a fixed order — duplicates, stuck-at, flapping,
+    dropout, then missing-at-random — so value-level faults act on real
     readings before gaps erase them.
     """
 
@@ -270,30 +176,15 @@ class FaultModel:
     dropout: tuple[tuple[int, int, int], ...] = field(default=())
     stuck: tuple[tuple[int, int, int], ...] = field(default=())
     flapping: tuple[tuple[int, int, int, int, float], ...] = field(default=())
-    out_of_order: float = 0.0
-    out_of_order_span: int = 4
-    redelivery: float = 0.0
-    redelivery_lag: int = 1
-    skew: tuple[tuple[int, int], ...] = field(default=())
     seed: int = 0
 
     def __post_init__(self) -> None:
         for rate, label in (
             (self.missing_rate, "missing_rate"),
             (self.duplicate_rate, "duplicate_rate"),
-            (self.out_of_order, "out_of_order"),
-            (self.redelivery, "redelivery"),
         ):
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"{label} must be in [0, 1), got {rate}")
-        if self.out_of_order_span < 1:
-            raise ValueError(
-                f"out_of_order_span must be >= 1, got {self.out_of_order_span}"
-            )
-        if self.redelivery_lag < 1:
-            raise ValueError(
-                f"redelivery_lag must be >= 1, got {self.redelivery_lag}"
-            )
         for spans, label in ((self.dropout, "dropout"), (self.stuck, "stuck")):
             for span in spans:
                 if len(span) != 3:
@@ -303,9 +194,6 @@ class FaultModel:
                 raise ValueError(
                     "flapping spans must be (sensor, start, stop, period, duty) tuples"
                 )
-        for pair in self.skew:
-            if len(pair) != 2:
-                raise ValueError("skew entries must be (sensor, shift) pairs")
 
     @property
     def is_clean(self) -> bool:
@@ -315,12 +203,9 @@ class FaultModel:
             # avoids float ==/!= (lint rule R2).
             self.missing_rate <= 0.0
             and self.duplicate_rate <= 0.0
-            and self.out_of_order <= 0.0
-            and self.redelivery <= 0.0
             and not self.dropout
             and not self.stuck
             and not self.flapping
-            and not self.skew
         )
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -332,16 +217,10 @@ class FaultModel:
         values = _as_matrix(values)
         rng = np.random.default_rng(self.seed)
         values = inject_duplicates(values, self.duplicate_rate, rng)
-        values = inject_redelivery(values, self.redelivery, self.redelivery_lag, rng)
-        values = inject_out_of_order(
-            values, self.out_of_order, self.out_of_order_span, rng
-        )
         for sensor, start, stop in self.stuck:
             values = inject_stuck_at(values, sensor, start, stop)
         for sensor, start, stop, period, duty in self.flapping:
             values = inject_sensor_flapping(values, sensor, start, stop, period, duty)
         for sensor, start, stop in self.dropout:
             values = inject_sensor_dropout(values, sensor, start, stop)
-        for sensor, shift in self.skew:
-            values = inject_clock_skew(values, sensor, shift)
         return inject_missing_at_random(values, self.missing_rate, rng)

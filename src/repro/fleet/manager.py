@@ -26,6 +26,9 @@ interleaves their rounds over the process-wide shared
   v4 manifest naming every tenant's directory, shard and schedule
   position.  Kill the process anywhere; constructing a new manager over
   the same directory resumes every tenant at its exact round.
+* **Errors** — a runtime error one tenant's supervisor raises (while it
+  resumes, pumps, finishes or checkpoints) reaches the caller with its own
+  type, its ``tenant`` attribute set and a note naming the tenant.
 
 Per-tenant outputs are bit-identical to N solo runs by construction:
 nothing a tenant's pipeline consumes depends on any other tenant —
@@ -54,6 +57,7 @@ from ..runtime.errors import (
     CheckpointError,
     ConfigurationError,
     FleetManifestError,
+    SupervisorError,
     UnknownTenantError,
 )
 from ..runtime.supervisor import StreamSupervisor, SupervisorConfig
@@ -76,6 +80,13 @@ _TENANTS_DIRNAME = "tenants"
 #: and re-ships state instead of trusting pipelines another manager
 #: instance advanced.
 _FLEET_SERIAL = itertools.count()
+
+
+def _name_tenant(error: SupervisorError, tenant: str) -> None:
+    """Attribute a tenant supervisor's error to its tenant (type kept)."""
+    if error.tenant is None:
+        error.tenant = tenant
+        error.add_note(f"raised by fleet tenant {tenant!r}")
 
 
 @dataclass(frozen=True)
@@ -220,16 +231,20 @@ class FleetManager:
             frontier = (
                 IngestFrontier(spec.frontier) if spec.frontier is not None else None
             )
-            supervisor = StreamSupervisor(
-                spec.config,
-                spec.n_sensors,
-                supervisor=spec.supervisor,
-                checkpoint_dir=checkpoint_dir,
-                clock=clock,
-                chaos=spec.chaos,
-                frontier=frontier,
-                resume=resume,
-            )
+            try:
+                supervisor = StreamSupervisor(
+                    spec.config,
+                    spec.n_sensors,
+                    supervisor=spec.supervisor,
+                    checkpoint_dir=checkpoint_dir,
+                    clock=clock,
+                    chaos=spec.chaos,
+                    frontier=frontier,
+                    resume=resume,
+                )
+            except SupervisorError as error:
+                _name_tenant(error, tenant)
+                raise
             self._runtimes[tenant] = _TenantRuntime(
                 spec, shard, supervisor, f"{self._serial}:{tenant}"
             )
@@ -344,7 +359,11 @@ class FleetManager:
         records: list[FleetRecord] = []
         wave: list[_Dispatch] = []
         for tenant in order:
-            self._feed(self._runtimes[tenant], records, wave)
+            try:
+                self._feed(self._runtimes[tenant], records, wave)
+            except SupervisorError as error:
+                _name_tenant(error, tenant)
+                raise
         for entry in wave:
             self._complete(entry, records)
         return records
@@ -374,9 +393,13 @@ class FleetManager:
             rows = list(supervisor.frontier.drain())
             if not rows:
                 continue
-            self._sync_tenant(rt)
-            for row in rows:
-                self._extend(records, rt, supervisor.process(row))
+            try:
+                self._sync_tenant(rt)
+                for row in rows:
+                    self._extend(records, rt, supervisor.process(row))
+            except SupervisorError as error:
+                _name_tenant(error, tenant)
+                raise
             rt.remote_cached = False
         self._write_manifest()
         return records
@@ -390,8 +413,12 @@ class FleetManager:
         """
         for tenant in sorted(self._runtimes):
             rt = self._runtimes[tenant]
-            self._sync_tenant(rt)
-            rt.supervisor.checkpoint_now()
+            try:
+                self._sync_tenant(rt)
+                rt.supervisor.checkpoint_now()
+            except SupervisorError as error:
+                _name_tenant(error, tenant)
+                raise
         self._write_manifest()
 
     def health(self) -> FleetHealthSnapshot:
@@ -528,10 +555,12 @@ class FleetManager:
                 self._stage_fallbacks += 1
             rt.remote_cached = True
             self._offloaded_rounds += 1
-        except BaseException:
+        except BaseException as error:
             # The round did not complete; whether the worker advanced is
             # unknowable here, so stop trusting its cache.
             rt.remote_cached = False
+            if isinstance(error, SupervisorError):
+                _name_tenant(error, rt.spec.tenant)
             raise
 
     def _sync_tenant(self, rt: _TenantRuntime) -> None:

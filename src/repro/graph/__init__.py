@@ -1,14 +1,7 @@
 """Graph substrate: weighted graphs, Louvain, components, k-NN construction."""
 
 from .components import component_labels, connected_components
-from .csr import (
-    CSRGraph,
-    label_propagation_csr,
-    louvain_csr,
-    modularity_csr,
-    tsg_csr,
-    tsg_edge_arrays,
-)
+from .csr import CSRGraph, tsg_csr, tsg_edge_arrays
 from .delta import DeltaTSGBuilder
 from .graph import Graph
 from .knn import absolute_weight_graph, knn_graph, prune_weak_edges
@@ -20,12 +13,9 @@ __all__ = [
     "Graph",
     "CSRGraph",
     "louvain",
-    "louvain_csr",
     "label_propagation",
-    "label_propagation_csr",
     "LouvainResult",
     "modularity",
-    "modularity_csr",
     "connected_components",
     "component_labels",
     "knn_graph",

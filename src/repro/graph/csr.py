@@ -10,7 +10,7 @@ the standard CSR layout, both edge directions stored) and provides:
 * :func:`tsg_edge_arrays` — vectorised k-NN + tau-pruning edge selection
   that reproduces :func:`repro.graph.knn_graph` + ``prune_weak_edges``
   exactly, including which direction's correlation an edge keeps;
-* :func:`louvain_labels_csr` / :func:`louvain_csr` — Louvain in one call
+* :func:`louvain_labels_csr` — Louvain in one call
   to the compiled kernel in ``repro/_kernels.c`` (built on first use and
   cached; see :mod:`repro._native`).  The kernel mirrors the deterministic
   dict implementation move for move (same visit order, same candidate
@@ -21,9 +21,8 @@ the standard CSR layout, both edge directions stored) and provides:
   decision.  Without a working C compiler these functions warn once and
   run the dict reference :func:`~repro.graph.louvain` on
   :meth:`CSRGraph.to_graph` instead;
-* :func:`label_propagation_csr` — array-backed label propagation,
-  mirroring the dict version;
-* :func:`modularity_csr` — vectorised Newman modularity.
+* :func:`label_propagation_labels_csr` — array-backed label propagation,
+  mirroring the dict version.
 
 Label equivalence caveat: the dict and CSR code paths accumulate the same
 floating-point sums in different orders (dict insertion order vs. sorted
@@ -41,7 +40,7 @@ import numpy as np
 from ..timeseries.correlation import top_k_neighbors
 from .._native import load_kernels, raise_for_status
 from .graph import Graph
-from .louvain import LouvainResult, louvain
+from .louvain import louvain
 
 
 class CSRGraph:
@@ -51,7 +50,7 @@ class CSRGraph:
     columns sorted ascending.  Rows are vertices ``0 .. n_vertices - 1``.
     """
 
-    __slots__ = ("n_vertices", "indptr", "indices", "weights", "_degrees", "_total")
+    __slots__ = ("n_vertices", "indptr", "indices", "weights")
 
     def __init__(
         self, n_vertices: int, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
@@ -62,8 +61,6 @@ class CSRGraph:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
-        self._degrees: np.ndarray | None = None
-        self._total: float | None = None
         if self.indptr.shape != (n_vertices + 1,):
             raise ValueError(f"indptr must have length {n_vertices + 1}")
         if self.indices.shape != self.weights.shape:
@@ -108,32 +105,6 @@ class CSRGraph:
     @property
     def n_edges(self) -> int:
         return self.indices.size // 2
-
-    def total_weight(self) -> float:
-        """Sum of edge weights, each undirected edge counted once.
-
-        Cached after the first call — the graph is immutable, and per-round
-        pipelines (modularity, Louvain level setup, co-appearance hooks) ask
-        repeatedly.
-        """
-        if self._total is None:
-            self._total = float(self.weights.sum()) / 2.0
-        return self._total
-
-    def weighted_degrees(self) -> np.ndarray:
-        """Per-vertex sum of incident edge weights, as an ``(n,)`` array.
-
-        Cached after the first call; treat the returned array as read-only.
-        The graph is immutable: code that patches CSR arrays (the delta TSG
-        builder) always constructs a *new* :class:`CSRGraph`, so a fresh
-        instance (with empty caches) is the invalidation protocol.
-        """
-        if self._degrees is None:
-            rows = np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
-            self._degrees = np.bincount(
-                rows, weights=self.weights, minlength=self.n_vertices
-            )
-        return self._degrees
 
     def absolute(self) -> "CSRGraph":
         """Copy with absolute weights (Louvain needs non-negative input)."""
@@ -244,18 +215,6 @@ def _structure_status(graph: CSRGraph) -> int:
     return 0
 
 
-def louvain_csr(
-    graph: CSRGraph, resolution: float = 1.0, min_gain: float = 1e-9
-) -> LouvainResult:
-    """Array-backed Louvain returning the same result type as ``louvain``."""
-    labels = louvain_labels_csr(graph, resolution, min_gain)
-    return LouvainResult(
-        labels=tuple(int(label) for label in labels),
-        n_communities=int(labels.max()) + 1,
-        modularity=modularity_csr(graph, labels),
-    )
-
-
 def label_propagation_labels_csr(graph: CSRGraph, max_sweeps: int = 50) -> np.ndarray:
     """Label-propagation labels on CSR arrays (mirrors the dict version)."""
     if (graph.weights < 0).any():
@@ -299,37 +258,3 @@ def label_propagation_labels_csr(graph: CSRGraph, max_sweeps: int = 50) -> np.nd
         if not changed:
             break
     return _compact_labels_array(np.asarray(labels, dtype=np.int64))
-
-
-def label_propagation_csr(graph: CSRGraph, max_sweeps: int = 50) -> LouvainResult:
-    """Array-backed label propagation returning a :class:`LouvainResult`."""
-    labels = label_propagation_labels_csr(graph, max_sweeps)
-    return LouvainResult(
-        labels=tuple(int(label) for label in labels),
-        n_communities=int(labels.max()) + 1,
-        modularity=modularity_csr(graph, labels),
-    )
-
-
-def modularity_csr(graph: CSRGraph, communities: np.ndarray) -> float:
-    """Newman modularity of a partition on a CSR graph (vectorised)."""
-    communities = np.asarray(communities, dtype=np.int64)
-    if communities.shape != (graph.n_vertices,):
-        raise ValueError(
-            f"partition has {communities.size} labels for {graph.n_vertices} vertices"
-        )
-    two_m = 2.0 * graph.total_weight()
-    if two_m <= 0:
-        return 0.0
-    n_labels = int(communities.max()) + 1
-    degree_sum = np.bincount(
-        communities, weights=graph.weighted_degrees(), minlength=n_labels
-    )
-    rows = np.repeat(np.arange(graph.n_vertices), np.diff(graph.indptr))
-    same = communities[rows] == communities[graph.indices]
-    # Both directions stored, so the intra sum already counts each edge twice.
-    internal_twice = np.bincount(
-        communities[rows[same]], weights=graph.weights[same], minlength=n_labels
-    )
-    q = internal_twice / two_m - (degree_sum / two_m) ** 2
-    return float(q.sum())

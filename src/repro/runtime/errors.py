@@ -86,6 +86,10 @@ __all__ = [
 class SupervisorError(Exception):
     """Base class for every error raised by the streaming runtime."""
 
+    #: The fleet tenant whose supervisor raised the error; None outside a
+    #: :class:`~repro.fleet.FleetManager`, which sets it (and adds a note).
+    tenant: str | None = None
+
 
 class ConfigurationError(SupervisorError, ValueError):
     """Invalid parameters handed to a runtime/ingest component.

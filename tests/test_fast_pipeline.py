@@ -22,18 +22,14 @@ from repro.graph import (
     absolute_weight_graph,
     knn_graph,
     label_propagation,
-    label_propagation_csr,
     louvain,
-    louvain_csr,
-    modularity,
-    modularity_csr,
     prune_weak_edges,
     tsg_csr,
     tsg_edge_arrays,
 )
 from repro import _native
 from repro.graph import csr
-from repro.graph.csr import louvain_labels_csr
+from repro.graph.csr import label_propagation_labels_csr, louvain_labels_csr
 from repro.timeseries import (
     MultivariateTimeSeries,
     RollingCorrelation,
@@ -212,16 +208,11 @@ class TestCSRGraph:
         assert np.array_equal(back.indices, csr.indices)
         assert np.array_equal(back.weights, csr.weights)
         assert csr.n_edges == dict_graph.n_edges
-        assert csr.total_weight() == pytest.approx(dict_graph.total_weight())
-        degrees = csr.weighted_degrees()
-        for v in range(20):
-            assert degrees[v] == pytest.approx(dict_graph.weighted_degree(v))
 
     def test_empty_graph(self):
         csr = CSRGraph.from_edges(4, np.zeros(0, int), np.zeros(0, int), np.zeros(0))
         assert csr.n_edges == 0
-        assert csr.total_weight() == 0.0
-        assert louvain_csr(csr).labels == (0, 1, 2, 3)
+        assert louvain_labels_csr(csr).tolist() == [0, 1, 2, 3]
 
 
 def planted_partition_edges(seed, n, blocks, tau, p_out, isolated_frac):
@@ -305,11 +296,7 @@ class TestCSRCommunities:
         tau = float(rng.uniform(0.0, 0.5))
         dict_graph = absolute_weight_graph(prune_weak_edges(knn_graph(corr, k), tau))
         csr = tsg_csr(corr, k, tau).absolute()
-        reference = louvain(dict_graph)
-        fast = louvain_csr(csr)
-        assert fast.labels == reference.labels
-        assert fast.n_communities == reference.n_communities
-        assert fast.modularity == pytest.approx(reference.modularity, abs=1e-9)
+        assert tuple(louvain_labels_csr(csr).tolist()) == louvain(dict_graph).labels
 
     @pytest.mark.parametrize("seed", range(4))
     def test_label_propagation_matches_dict(self, seed):
@@ -318,24 +305,15 @@ class TestCSRCommunities:
         corr = random_knn_corr(rng, n)
         dict_graph = absolute_weight_graph(prune_weak_edges(knn_graph(corr, 3), 0.2))
         csr = tsg_csr(corr, 3, 0.2).absolute()
-        assert label_propagation_csr(csr).labels == label_propagation(dict_graph).labels
-
-    def test_modularity_matches_dict(self):
-        rng = np.random.default_rng(300)
-        corr = random_knn_corr(rng, 30)
-        dict_graph = absolute_weight_graph(prune_weak_edges(knn_graph(corr, 4), 0.1))
-        csr = tsg_csr(corr, 4, 0.1).absolute()
-        labels = louvain(dict_graph).labels
-        assert modularity_csr(csr, np.array(labels)) == pytest.approx(
-            modularity(dict_graph, list(labels)), abs=1e-12
-        )
+        labels = label_propagation_labels_csr(csr)
+        assert tuple(labels.tolist()) == label_propagation(dict_graph).labels
 
     def test_louvain_csr_rejects_negative_weights(self):
         csr = CSRGraph.from_edges(3, np.array([0]), np.array([1]), np.array([-0.5]))
         with pytest.raises(ValueError, match="non-negative"):
-            louvain_csr(csr)
+            louvain_labels_csr(csr)
         with pytest.raises(ValueError, match="non-negative"):
-            label_propagation_csr(csr)
+            label_propagation_labels_csr(csr)
 
 
 #: Malformed CSR inputs ``(n, indptr, indices)``; each must raise ValueError.

@@ -9,11 +9,8 @@ import pytest
 from repro.core import CAD, StreamingCAD
 from repro.datasets import (
     FaultModel,
-    inject_clock_skew,
     inject_duplicates,
     inject_missing_at_random,
-    inject_out_of_order,
-    inject_redelivery,
     inject_sensor_dropout,
     inject_stuck_at,
 )
@@ -67,79 +64,6 @@ class TestInjectors:
             inject_stuck_at(np.zeros((2, 10)), 0, 8, 20)
 
 
-class TestDeliveryInjectors:
-    def test_out_of_order_is_a_bounded_permutation(self):
-        rng = np.random.default_rng(7)
-        values = np.arange(600, dtype=float).reshape(2, 300)
-        corrupted = inject_out_of_order(values, 0.2, 5, rng)
-        assert not np.array_equal(corrupted, values), "swaps must happen"
-        # A permutation of columns: same multiset, columns kept intact.
-        assert sorted(corrupted[0]) == sorted(values[0])
-        assert np.array_equal(corrupted[1] - corrupted[0], values[1] - values[0])
-        # Bounded disorder: swap chains can compound a few spans, but
-        # displacement must stay local — nothing drifts across the series.
-        displacement = np.abs(corrupted[0] - values[0])
-        assert displacement.max() <= 4 * 5
-        assert displacement.mean() < 2.0
-
-    def test_out_of_order_deterministic_and_pure(self):
-        values = np.arange(200, dtype=float).reshape(2, 100)
-        a = inject_out_of_order(values, 0.3, 4, np.random.default_rng(3))
-        b = inject_out_of_order(values, 0.3, 4, np.random.default_rng(3))
-        assert np.array_equal(a, b)
-        assert np.array_equal(values, np.arange(200, dtype=float).reshape(2, 100))
-
-    def test_redelivery_repeats_stale_columns(self):
-        rng = np.random.default_rng(8)
-        values = np.arange(400, dtype=float).reshape(2, 200)
-        corrupted = inject_redelivery(values, 0.15, 3, rng)
-        stale = np.flatnonzero(
-            (corrupted[:, 3:] == corrupted[:, :-3]).all(axis=0)
-        )
-        assert stale.size > 0
-        untouched = corrupted == values
-        assert untouched.all(axis=0).any(), "most columns stay fresh"
-
-    def test_redelivery_lag_one_matches_duplicates_shape(self):
-        rng = np.random.default_rng(9)
-        values = np.arange(300, dtype=float).reshape(3, 100)
-        corrupted = inject_redelivery(values, 0.1, 1, rng)
-        assert corrupted.shape == values.shape
-
-    def test_clock_skew_shifts_and_nans_the_edge(self):
-        values = np.arange(40, dtype=float).reshape(2, 20)
-        late = inject_clock_skew(values, 1, 3)
-        assert np.isnan(late[1, :3]).all()
-        assert np.array_equal(late[1, 3:], values[1, :17])
-        assert np.array_equal(late[0], values[0])
-        early = inject_clock_skew(values, 0, -2)
-        assert np.isnan(early[0, -2:]).all()
-        assert np.array_equal(early[0, :-2], values[0, 2:])
-
-    def test_clock_skew_zero_is_identity(self):
-        values = np.arange(20, dtype=float).reshape(2, 10)
-        assert np.array_equal(inject_clock_skew(values, 0, 0), values)
-
-    @pytest.mark.parametrize("rate", [-0.1, 1.0])
-    def test_bad_rates_rejected(self, rate):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            inject_out_of_order(np.zeros((2, 10)), rate, 2, rng)
-        with pytest.raises(ValueError):
-            inject_redelivery(np.zeros((2, 10)), rate, 2, rng)
-
-    def test_bad_bounds_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            inject_out_of_order(np.zeros((2, 10)), 0.1, 0, rng)
-        with pytest.raises(ValueError):
-            inject_redelivery(np.zeros((2, 10)), 0.1, 0, rng)
-        with pytest.raises(ValueError):
-            inject_clock_skew(np.zeros((2, 10)), 0, 10)
-        with pytest.raises(ValueError):
-            inject_clock_skew(np.zeros((2, 10)), 5, 1)
-
-
 class TestFaultModel:
     def test_deterministic(self):
         values = np.random.default_rng(4).standard_normal((6, 400))
@@ -174,46 +98,6 @@ class TestFaultModel:
             FaultModel(missing_rate=1.0)
         with pytest.raises(ValueError):
             FaultModel(dropout=((1, 2),))
-
-    def test_delivery_knobs_break_cleanliness(self):
-        assert not FaultModel(out_of_order=0.1).is_clean
-        assert not FaultModel(redelivery=0.1).is_clean
-        assert not FaultModel(skew=((0, 3),)).is_clean
-
-    def test_delivery_knobs_deterministic(self):
-        values = np.random.default_rng(12).standard_normal((4, 300))
-        model = FaultModel(
-            out_of_order=0.1,
-            out_of_order_span=3,
-            redelivery=0.05,
-            redelivery_lag=2,
-            skew=((1, 4), (3, -2)),
-            seed=6,
-        )
-        first = model.apply(values)
-        assert np.array_equal(first, model.apply(values), equal_nan=True)
-        assert not np.array_equal(first, values, equal_nan=True)
-
-    def test_skew_knob_matches_direct_injector(self):
-        values = np.random.default_rng(13).standard_normal((4, 100))
-        model = FaultModel(skew=((2, 5),), seed=0)
-        assert np.array_equal(
-            model.apply(values), inject_clock_skew(values, 2, 5), equal_nan=True
-        )
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(out_of_order=1.0),
-            dict(redelivery=-0.1),
-            dict(out_of_order_span=0),
-            dict(redelivery_lag=0),
-            dict(skew=((1, 2, 3),)),
-        ],
-    )
-    def test_delivery_knob_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            FaultModel(**kwargs)
 
 
 class TestDegradedPipeline:

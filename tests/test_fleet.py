@@ -9,6 +9,7 @@ cases with per-tenant chaos live in ``tests/test_oracle.py``.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,10 +35,13 @@ from repro.fleet import (
 )
 from repro.ingest import FrontierConfig, envelopes_from_matrix
 from repro.runtime import (
+    ChaosModel,
     ConfigurationError,
     FleetError,
     FleetManifestError,
     RecoveryError,
+    RetryBudgetExceededError,
+    RetryPolicy,
     StreamSupervisor,
     SupervisorConfig,
     SupervisorError,
@@ -443,6 +447,55 @@ class TestFleetResume:
     def test_fleet_manifest_error_is_supervisor_error(self):
         assert issubclass(FleetManifestError, FleetError)
         assert issubclass(FleetError, SupervisorError)
+
+    def test_resume_error_names_the_tenant(self, tmp_path):
+        feeds = {"a": tenant_feed(33), "b": tenant_feed(34)}
+        stream_fleet(self.make(tmp_path, feeds, resume=False), feeds)
+        specs = [
+            TenantSpec("a", CONFIG, N_SENSORS),
+            TenantSpec("b", replace(CONFIG, tau=0.25), N_SENSORS),
+        ]
+        with pytest.raises(RecoveryError) as caught:
+            FleetManager(specs, fleet=FleetConfig(shards=8), manifest_dir=tmp_path)
+        assert caught.value.tenant == "b"
+        assert caught.value.__notes__ == ["raised by fleet tenant 'b'"]
+
+
+class TestFleetErrors:
+    @pytest.mark.parametrize("offload", [0, 2])
+    def test_retry_budget_names_the_crashing_tenant(self, offload):
+        """One tenant crashes on every attempt of a round; the error keeps
+        its type and names that tenant, not the fleet."""
+        chaos = ChaosModel(seed=5, crash_rate=0.99)
+        retry = RetryPolicy(max_retries=2, base_delay=0.0, jitter=0.0)
+        manager = FleetManager(
+            [
+                TenantSpec(
+                    "crashing",
+                    CONFIG,
+                    N_SENSORS,
+                    supervisor=SupervisorConfig(retry=retry),
+                    chaos=chaos,
+                ),
+                TenantSpec("healthy", CONFIG, N_SENSORS),
+            ],
+            fleet=FleetConfig(shards=8, offload_jobs=offload),
+            clock=VirtualClock(),
+        )
+        feeds = {"crashing": tenant_feed(51), "healthy": tenant_feed(52)}
+        with pytest.raises(RetryBudgetExceededError) as caught:
+            stream_fleet(manager, feeds)
+        error = caught.value
+        assert error.tenant == "crashing"
+        assert error.__notes__ == ["raised by fleet tenant 'crashing'"]
+        assert error.attempts == retry.max_retries + 1
+        assert all(
+            chaos.round_fate(error.round_index, attempt) == "crash"
+            for attempt in range(error.attempts)
+        )
+
+    def test_errors_outside_a_fleet_name_no_tenant(self):
+        assert RetryBudgetExceededError(0, 1, RuntimeError("x")).tenant is None
 
 
 # --------------------------------------------------------------------- #

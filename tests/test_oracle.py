@@ -18,9 +18,11 @@ The only other outcome is a typed refusal, asserted where it is due:
 ``allow_missing``, ``RetryBudgetExceededError`` for a round that crashed on
 every attempt, ``EnvelopeValidationError`` (state untouched) for a
 timestamp jump past the queue, and ``RecoveryError`` when every retained
-checkpoint generation was torn.  The ``@example`` cases are the soak
-configurations the bench harnesses used to gate on; each asserts that the
-faults it injects fired, and the clean in-order delivery that none did.
+checkpoint generation was torn.  The ``@example`` cases are hand-picked
+soak and fleet configurations; each asserts that the faults it injects
+fired (the clean in-order delivery that none did), and that some of its
+rounds reach CAD's decision: n_r > 0, and, where the feed allows it, an
+abnormal round.
 """
 
 from __future__ import annotations
@@ -87,6 +89,10 @@ class Case:
     seed: int
     k: int = 10
     tau: float = 0.5
+    theta: float = 0.3
+    #: Engine of the layer under test; the expected records always come
+    #: from a reference-engine stream.
+    engine: str = "fast"
     corr_refresh: int = 64
     allow_missing: bool = True
     checkpoint_every: int = 5
@@ -120,6 +126,8 @@ class Case:
             step=self.step,
             k=self.k,
             tau=self.tau,
+            theta=self.theta,
+            engine=self.engine,
             corr_refresh=self.corr_refresh,
             allow_missing=self.allow_missing,
         )
@@ -191,6 +199,15 @@ def reference_records(case: Case, history, rows: np.ndarray) -> list:
     stream = StreamingCAD(replace(case.config, engine="reference"), case.n)
     stream.warm_up(history)
     return stream.push_many(rows) if rows.shape[1] else []
+
+
+def decisions(records) -> dict:
+    """Rounds that reach CAD's decision: some sensor changed community
+    (n_r > 0), and n_r fell outside mu +- eta*sigma."""
+    return {
+        "rounds_with_variations": sum(r.n_variations > 0 for r in records),
+        "abnormal_rounds": sum(r.abnormal for r in records),
+    }
 
 
 def merged(records) -> list:
@@ -300,7 +317,8 @@ def run_stream(case: Case) -> Run:
     history, live = feed(case)
     stream = StreamingCAD(case.config, case.n)
     stream.warm_up(history)
-    return Run([r for r in map(stream.push, live.T) if r is not None], live, {})
+    records = [r for r in map(stream.push, live.T) if r is not None]
+    return Run(records, live, decisions(records))
 
 
 class Session:
@@ -413,7 +431,9 @@ def run_supervisor(case: Case) -> Run | None:
             for i in range(case.n)
         )
     effective = session.effective_rows() if case.delivery is None else grid
-    return Run(merged(session.records), effective, counters, refused)
+    records = merged(session.records)
+    counters.update(decisions(records))
+    return Run(records, effective, counters, refused)
 
 
 def run_fleet(case: Case) -> dict[str, Run] | None:
@@ -466,13 +486,17 @@ def run_fleet(case: Case) -> dict[str, Run] | None:
         )
         counters = manager.health().to_dict()
     counters["resumed_samples"] = min(resumed.values(), default=0)
+    owns = {
+        name: merged(r.record for r in records if r.tenant == name) for name in names
+    }
+    # Fleet-wide: one tenant reaching the decision is enough.
+    counters.update(decisions([record for own in owns.values() for record in own]))
     runs = {}
     for name in names:
         live = feeds[name][1]
         if case.delivery is not None:
             live = frontier_rows(case, items[name])[0]
-        own = merged(r.record for r in records if r.tenant == name)
-        runs[name] = Run(own, live, counters)
+        runs[name] = Run(owns[name], live, counters)
     return runs
 
 
@@ -558,6 +582,7 @@ def cases(draw, kill: bool = False, **layer) -> Case:
         checkpoint_every=draw(st.sampled_from([1, 2, 5])),
         n_constant=draw(st.integers(0, min(2, n))),
         missing_rate=draw(st.sampled_from([0.0, 0.05, 0.3])) if allow_missing else 0.0,
+        theta=draw(st.sampled_from([0.3, 0.5, 0.7])),
         **layer,
     )
 
@@ -638,37 +663,47 @@ def fleet_cases(draw) -> Case:
             tenants=st.integers(1, 3),
             quantum=st.sampled_from([1, 8, 64]),
             offload_jobs=st.sampled_from([0, 0, 2]),
+            engine=st.sampled_from(["fast", "reference"]),
         )
     )
 
 
 # --------------------------------------------------------------------- #
-# The soak configurations the bench harnesses gated on, as examples
+# Hand-picked soak and fleet configurations, as examples
 # --------------------------------------------------------------------- #
 
-_SOAK = dict(n=16, window=64, step=4, rounds=300, seed=2023, checkpoint_every=25)
+# At the default theta 0.3 every sensor is an outlier and no round of these
+# feeds has n_r > 0; at 0.5 (soak) and 0.55 (fleet) some rounds do, so a
+# stage-B divergence cannot hide behind all-outlier records.
+_SOAK = dict(
+    n=16, window=64, step=4, rounds=300, seed=2023, checkpoint_every=25, theta=0.5
+)
 _FLAP_START = (64 + 299 * 4) // 3
-_FLEET = dict(n=16, window=64, step=8, rounds=60, seed=2023, tenants=3, offload_jobs=2)
+_FLEET = dict(
+    n=16, window=64, step=8, rounds=60, seed=2023, tenants=3, offload_jobs=2, theta=0.55
+)
+#: Counters of rounds that reach CAD's decision (see ``decisions``).
+_DECIDES = ("rounds_with_variations", "abnormal_rounds")
 
 PROCESS_CHAOS = Case(
     **_SOAK,
     chaos=ChaosModel(
         seed=2023, crash_rate=0.02, slow_rate=0.02, slow_seconds=2.0, corrupt_rate=0.2
     ),
-    fired=("crashes_recovered", "slow_rounds", "checkpoints_written"),
+    fired=("crashes_recovered", "slow_rounds", "checkpoints_written", *_DECIDES),
 )
 SENSOR_FLAPPING = Case(
     **_SOAK,
     flap=(3, _FLAP_START, _FLAP_START + 30 * 4, 4, 0.75),
     breaker=BreakerPolicy(failure_threshold=3, open_rounds=8, probation_rounds=4),
-    fired=("breaker_trips", "breakers_reclosed"),
+    fired=("breaker_trips", "breakers_reclosed", *_DECIDES),
 )
 #: The flapping soak again under crashes: each recovery must replay the
 #: quarantined sensor's samples masked, as they were first fed.
 FLAPPING_UNDER_CRASHES = replace(
     SENSOR_FLAPPING,
     chaos=ChaosModel(seed=2023, crash_rate=0.05),
-    fired=("breaker_trips", "breakers_reclosed", "crashes_recovered"),
+    fired=("breaker_trips", "breakers_reclosed", "crashes_recovered", *_DECIDES),
 )
 #: Clean in-order delivery: the frontier must pass the grid through
 #: without re-sequencing, absorbing or dropping anything.
@@ -676,6 +711,7 @@ CLEAN_DELIVERY = Case(
     **_SOAK,
     horizon=16,
     delivery=DeliveryChaosModel(seed=2023),
+    fired=_DECIDES,
     quiet=(
         "samples_reordered",
         "samples_deduped",
@@ -694,16 +730,20 @@ DELIVERY_CHAOS = Case(
         redelivery_max_delay=64,
         skew_magnitude=0.4,
     ),
-    fired=("samples_reordered", "samples_deduped", "samples_late_dropped"),
+    fired=("samples_reordered", "samples_deduped", "samples_late_dropped", *_DECIDES),
 )
 LATE_DATA_NAN_PATCH = Case(
     **_SOAK,
     horizon=16,
     delivery=DeliveryChaosModel(seed=2024, out_of_order_rate=0.10, max_disorder=48),
-    fired=("cells_nan_patched",),
+    fired=("cells_nan_patched", *_DECIDES),
 )
+#: Dropping rows keeps 94 of the 300 rounds; those with n_r > 0 all stay
+#: inside mu +- eta*sigma.
 LATE_DATA_DROP = replace(
-    LATE_DATA_NAN_PATCH, late_policy="drop", fired=("rows_dropped",)
+    LATE_DATA_NAN_PATCH,
+    late_policy="drop",
+    fired=("rows_dropped", "rounds_with_variations"),
 )
 FLEET_CHAOS_KILL = Case(
     **_FLEET,
@@ -715,6 +755,7 @@ FLEET_CHAOS_KILL = Case(
         "checkpoints_written",
         "offloaded_rounds",
         "resumed_samples",  # no tenant resumed from scratch
+        "rounds_with_variations",
     ),
 )
 FLEET_DELIVERY = Case(
@@ -723,7 +764,19 @@ FLEET_DELIVERY = Case(
     delivery=DeliveryChaosModel(
         seed=2023, out_of_order_rate=0.25, max_disorder=6, redelivery_rate=0.05
     ),
-    fired=("samples_reordered", "samples_deduped", "offloaded_rounds"),
+    fired=(
+        "samples_reordered",
+        "samples_deduped",
+        "offloaded_rounds",
+        "rounds_with_variations",
+    ),
+)
+#: Reference-engine tenants under stage-A offload: the pool runs their
+#: stateless pipelines, rebuilt for every round.
+FLEET_REFERENCE_OFFLOAD = Case(
+    **_FLEET,
+    engine="reference",
+    fired=("offloaded_rounds", "rounds_with_variations"),
 )
 
 
@@ -794,6 +847,7 @@ def test_delivered_grid_is_the_reference_input(supervisor, case):
 @given(case=fleet_cases())
 @example(case=FLEET_CHAOS_KILL)
 @example(case=FLEET_DELIVERY)
+@example(case=FLEET_REFERENCE_OFFLOAD)
 def test_every_fleet_tenant_is_its_own_reference(fleet, case):
     for i, run in enumerate((fleet(case) or {}).values()):
         assert_matches_reference(case, run, feed(case, i)[0])
