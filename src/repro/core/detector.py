@@ -24,7 +24,7 @@ from ..timeseries.windows import WindowSpec
 from .config import CADConfig
 from .coappearance import CoAppearanceTracker
 from .parallel import iter_round_communities
-from .pipeline import CommunityPipeline, RoundCommunity
+from .pipeline import NON_FINITE_WINDOW, CommunityPipeline, RoundCommunity
 from .result import Anomaly, DataQuality, DetectionResult, RoundRecord
 from .variation import RunningMoments, outlier_set, transition_set
 
@@ -222,9 +222,17 @@ class CAD:
     def _stage_results(
         self, series: MultivariateTimeSeries, n_jobs: int | None
     ) -> Iterator[RoundCommunity]:
-        """Stage-A results for every window of ``series``, in round order."""
+        """Stage-A results for every window of ``series``, in round order.
+
+        A strict config checks the whole series first: a bad late window
+        raises before the caller applies any round."""
         if n_jobs is None:
             n_jobs = self.config.n_jobs
+        if not self.config.allow_missing:
+            last_round = self.spec.n_rounds(series.length) - 1
+            covered = self.spec.round_span(last_round)[1]
+            if not np.isfinite(series.values[:, :covered]).all():
+                raise ValueError(NON_FINITE_WINDOW)
         return iter_round_communities(self._pipeline, series.values, n_jobs)
 
     def _record_from_stage(self, stage: RoundCommunity) -> RoundRecord:

@@ -53,6 +53,12 @@ from ..timeseries.rolling import RollingCorrelation
 from .config import CADConfig
 from .result import DataQuality
 
+#: Raised (as a ValueError) when a strict config meets a NaN or inf reading.
+NON_FINITE_WINDOW = (
+    "window contains non-finite readings; "
+    "set CADConfig(allow_missing=True) to run on degraded data"
+)
+
 
 @dataclass(frozen=True)
 class RoundCommunity:
@@ -145,10 +151,7 @@ class CommunityPipeline:
         if self.config.allow_missing:
             window_values, quality, valid = degrade_window(window_values, self.config)
         elif not np.isfinite(window_values).all():
-            raise ValueError(
-                "window contains non-finite readings; "
-                "set CADConfig(allow_missing=True) to run on degraded data"
-            )
+            raise ValueError(NON_FINITE_WINDOW)
 
         if self._kernel is not None:
             # Finiteness is already settled here (strict mode raised above;

@@ -7,11 +7,11 @@ Because CAD's statistics (``mu``, ``sigma``, co-appearance history) are
 maintained incrementally, the stream can run forever: each round costs
 O(n log n) regardless of how much history has gone by.
 
-Samples are kept in a preallocated sliding buffer of ``2 * window`` columns:
-each push writes one column, and when the buffer fills, the still-needed
-tail (the last ``window - 1`` columns) is copied back to the front — O(n)
-amortised per push, versus the O(n * t) reallocation a naive ``hstack``
-would pay.
+Samples live in one *mirrored ring* of capacity ``C = window + step``:
+sample ``i`` is written to columns ``i % C`` and ``i % C + C``, so the last
+``m <= C`` samples are always a contiguous view.  Each round scores such a
+view (no slide, no copy), and consecutive windows share memory except
+across a wrap, so the fast kernel's overlap check is an identity test.
 
 For long-running deployments the full stream state (detector statistics and
 the sample buffer) round-trips through :meth:`StreamingCAD.save` /
@@ -91,21 +91,15 @@ class StreamingCAD:
         self._detector = CAD(config, n_sensors)
         self._config = config
         self._n_sensors = n_sensors
-        self._capacity = 2 * config.window
-        self._buffer = np.empty((n_sensors, self._capacity))
-        self._end = 0  # columns [0:_end) hold the most recent samples
+        # C >= window + step: the fast kernel keeps a round's window by
+        # reference and reads its evicted columns when the next round
+        # closes, so the step samples written in between must not land on it.
+        self._capacity = config.window + config.step
+        # Zeroed, not empty: a stream restored from a shorter buffer still
+        # checkpoints its never-read oldest columns deterministically.
+        self._ring = np.zeros((n_sensors, 2 * self._capacity))
         self._samples_seen = 0
         self._next_round_end = config.window
-        # Round-assembly buffers: each completed round hands the detector a
-        # stable copy of its window.  Two buffers alternate instead of one
-        # allocation per round because the fast/delta kernel keeps the
-        # *previous* round's window by reference for its overlap check —
-        # round r+1 must not overwrite the array round r handed over.
-        self._round_buffers = (
-            np.empty((n_sensors, config.window)),
-            np.empty((n_sensors, config.window)),
-        )
-        self._round_flip = 0
 
     @property
     def detector(self) -> CAD:
@@ -152,13 +146,9 @@ class StreamingCAD:
         """
         sample = self._checked_sample(sample)
         self._require_round_boundary("peek_window")
-        window = self._config.window
-        out = np.empty((self._n_sensors, window), dtype=np.float64)
-        keep = window - 1
-        if keep:
-            out[:, :keep] = self._buffer[:, self._end - keep : self._end]
-        out[:, keep] = sample
-        return out
+        return np.concatenate(
+            (self._recent(self._config.window - 1), sample[:, None]), axis=1
+        )
 
     def push_staged(
         self,
@@ -223,31 +213,22 @@ class StreamingCAD:
             )
 
     def _append(self, sample: np.ndarray) -> None:
-        """Write one sample into the ring buffer, sliding it when full."""
-        if self._end == self._capacity:
-            # Slide: only the last window - 1 columns can still be part of a
-            # future window once this sample lands.
-            keep = self._config.window - 1
-            self._buffer[:, :keep] = self._buffer[:, self._end - keep : self._end]
-            self._end = keep
-        self._buffer[:, self._end] = sample
-        self._end += 1
+        """Write one sample into both mirrored columns of its ring slot."""
+        column = self._samples_seen % self._capacity
+        self._ring[:, column] = sample
+        self._ring[:, column + self._capacity] = sample
         self._samples_seen += 1
+
+    def _recent(self, count: int) -> np.ndarray:
+        """View of the last ``count <= capacity`` samples, oldest first."""
+        start = (self._samples_seen - count) % self._capacity
+        return self._ring[:, start : start + count]
 
     def _ingest(self, sample: np.ndarray) -> RoundRecord | None:
         self._append(sample)
         if self._samples_seen < self._next_round_end:
             return None
-
-        # Copied, not a view: the buffer compacts in place when it fills,
-        # and the fast engine's kernel keeps the previous round's window by
-        # reference for its overlap check.  The copy lands in one of two
-        # preallocated buffers (alternating because of that held reference)
-        # instead of a fresh allocation per round.
-        window = self._round_buffers[self._round_flip]
-        self._round_flip ^= 1
-        np.copyto(window, self._buffer[:, self._end - self._config.window : self._end])
-        record = self._detector.process_window(window)
+        record = self._detector.process_window(self._recent(self._config.window))
         self._next_round_end += self._config.step
         return record
 
@@ -300,24 +281,31 @@ class StreamingCAD:
             "detector": self._detector.to_state(),
             "samples_seen": self._samples_seen,
             "next_round_end": self._next_round_end,
-            "buffer": self._buffer[:, : self._end].copy(),
+            "buffer": self._recent(min(self._samples_seen, self._capacity)).copy(),
         }
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "StreamingCAD":
-        """Rebuild a stream from :meth:`to_state` output, bit-identically."""
+        """Rebuild a stream from :meth:`to_state` output, bit-identically.
+
+        ``state["buffer"]``: the most recent samples, oldest first, at least
+        the ``min(samples_seen, window - 1)`` a future window can need."""
         detector = CAD.from_state(state["detector"])
         stream = cls(detector.config, detector.n_sensors)
         stream._detector = detector
-        stream._samples_seen = int(state["samples_seen"])
+        seen = stream._samples_seen = int(state["samples_seen"])
         stream._next_round_end = int(state["next_round_end"])
         buffer = np.asarray(state["buffer"], dtype=np.float64)
         if buffer.ndim != 2 or buffer.shape[0] != detector.n_sensors:
             raise ValueError(f"invalid checkpoint buffer shape {buffer.shape}")
-        if buffer.shape[1] > stream._capacity:
-            buffer = buffer[:, -stream._capacity :]
-        stream._buffer[:, : buffer.shape[1]] = buffer
-        stream._end = buffer.shape[1]
+        needed = min(seen, detector.config.window - 1)
+        if buffer.shape[1] < needed:
+            raise ValueError(f"checkpoint buffer holds {buffer.shape[1]} < {needed} samples")
+        kept = min(buffer.shape[1], seen, stream._capacity)
+        columns = np.arange(seen - kept, seen) % stream._capacity
+        tail = buffer[:, buffer.shape[1] - kept :]
+        stream._ring[:, columns] = tail
+        stream._ring[:, columns + stream._capacity] = tail
         return stream
 
     def save(self, path: str | Path) -> None:

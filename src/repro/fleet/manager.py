@@ -617,27 +617,24 @@ class FleetManager:
         for tenant in sorted(manifest["tenants"]):
             entry = manifest["tenants"][tenant]
             if tenant not in specs_by_id:
-                raise FleetManifestError(
-                    f"manifest {path} names tenant {tenant!r} which is not "
-                    "configured; resuming would orphan its checkpoints"
+                problem = "is not configured; resuming would orphan its checkpoints"
+            elif not isinstance(entry, dict):
+                problem = "entry is not an object"
+            elif entry.get("shard") != self._router.shard_of(tenant):
+                problem = (
+                    f"recorded on shard {entry.get('shard')}, router assigns "
+                    f"{self._router.shard_of(tenant)}"
                 )
-            if not isinstance(entry, dict):
-                raise FleetManifestError(
-                    f"manifest {path}: tenant {tenant!r} entry is not an object"
+            elif entry.get("n_sensors") != specs_by_id[tenant].n_sensors:
+                problem = (
+                    f"checkpoints hold {entry.get('n_sensors')}-sensor streams, "
+                    f"spec says {specs_by_id[tenant].n_sensors}"
                 )
-            expected_shard = self._router.shard_of(tenant)
-            if entry.get("shard") != expected_shard:
-                raise FleetManifestError(
-                    f"manifest {path}: tenant {tenant!r} recorded on shard "
-                    f"{entry.get('shard')}, router assigns {expected_shard}"
-                )
-            n_sensors = specs_by_id[tenant].n_sensors
-            if entry.get("n_sensors") != n_sensors:
-                raise FleetManifestError(
-                    f"manifest {path}: tenant {tenant!r} checkpoints hold "
-                    f"{entry.get('n_sensors')}-sensor streams, spec says "
-                    f"{n_sensors}"
-                )
+            else:
+                continue
+            error = FleetManifestError(f"manifest {path}: tenant {tenant!r} {problem}")
+            error.tenant = tenant
+            raise error
         cycle = manifest["cycle"]
         if cycle < 0:
             raise FleetManifestError(f"manifest {path}: negative cycle {cycle}")

@@ -50,6 +50,7 @@ oracle feeds the reference each sample under the mask in force for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
@@ -64,7 +65,7 @@ from ..core.config import CADConfig
 from ..core.parallel import pool_generation, restore_pool_generation
 from ..core.pipeline import RoundCommunity
 from ..core.result import RoundRecord
-from ..core.streaming import PushError, StreamingCAD
+from ..core.streaming import InvalidSampleError, PushError, StreamingCAD
 from ..timeseries.mts import MultivariateTimeSeries
 from .backoff import RetryPolicy
 from .breaker import BreakerBank, BreakerPolicy
@@ -72,6 +73,7 @@ from .chaos import ChaosModel
 from .clock import Clock, MonotonicClock
 from .errors import (
     ConfigurationError,
+    EnvelopeValidationError,
     FrontierStateError,
     RecoveryError,
     RetryBudgetExceededError,
@@ -92,6 +94,9 @@ def _sidecar_int(value: Any, name: str, minimum: int = 0) -> int:
             f"integer >= {minimum}"
         )
     return value
+
+
+_NAN_REFUSED = "reading is NaN; set CADConfig(allow_missing=True) to stream degraded data"
 
 
 @dataclass(frozen=True)
@@ -234,6 +239,8 @@ class StreamSupervisor:
                     'late_policy="drop"'
                 )
         self._frontier = frontier
+        # Strict configs refuse NaN envelopes before a row holds one.
+        self._refuse_nan = not config.allow_missing
         self._config = config
         self._n_sensors = n_sensors
         self._clock: Clock = clock if clock is not None else MonotonicClock()
@@ -405,11 +412,7 @@ class StreamSupervisor:
                 f"sample is {self._stream.samples_seen + 1}, round closes at "
                 f"{self._stream.next_round_end}"
             )
-        self._replay_raw.append(raw)
-        self._samples_ingested += 1
-        return self._guarded_round(
-            self._masked(raw), stage=stage, pipeline_state=pipeline_state
-        )
+        return self._process_raw(raw, stage, pipeline_state)
 
     @property
     def pipeline_stale(self) -> bool:
@@ -514,10 +517,14 @@ class StreamSupervisor:
         Rows are pulled off the frontier one at a time and fed through the
         full supervised pipeline, so a checkpoint written mid-flush still
         captures every not-yet-consumed row inside the frontier state.
+        Without ``config.allow_missing`` a NaN reading raises
+        :class:`EnvelopeValidationError`, frontier untouched.
         """
         frontier = self._frontier
         if frontier is None:
             frontier = self._require_frontier()
+        if self._refuse_nan and math.isnan(getattr(envelope, "value", 0.0)):
+            raise EnvelopeValidationError("value", _NAN_REFUSED)
         frontier.push(envelope, max_release=self._sup.queue_capacity)
         # Most envelopes leave no row due: about one per row's worth of
         # sensors moves the watermark.  The frontier's fields are read
@@ -542,11 +549,13 @@ class StreamSupervisor:
         :class:`~repro.runtime.errors.EnvelopeValidationError` with the
         frontier untouched, instead of emitting every all-NaN row of the
         gap (see :meth:`IngestFrontier.push`).  :meth:`ingest` applies the
-        same bound.
+        same bound and NaN refusal.
         """
         frontier = self._frontier
         if frontier is None:
             frontier = self._require_frontier()
+        if self._refuse_nan and math.isnan(getattr(envelope, "value", 0.0)):
+            raise EnvelopeValidationError("value", _NAN_REFUSED)
         frontier.push(envelope, max_release=self._sup.queue_capacity)
 
     def ingest_many(
@@ -635,18 +644,27 @@ class StreamSupervisor:
         masked[self._mask] = np.nan
         return masked
 
-    def _process_raw(self, raw: np.ndarray) -> list[RoundRecord]:
+    def _process_raw(
+        self,
+        raw: np.ndarray,
+        stage: RoundCommunity | None = None,
+        pipeline_state: dict[str, Any] | None = None,
+    ) -> list[RoundRecord]:
         masked = self._masked(raw)
         self._replay_raw.append(raw)
         self._samples_ingested += 1
-
-        if self._stream.samples_seen + 1 < self._stream.next_round_end:
-            # Mid-window sample: nothing to supervise, push straight through.
-            record = self._stream.push(masked)
-            if record is not None:  # pragma: no cover - defensive
-                return self._finish_round(record)
-            return []
-        return self._guarded_round(masked)
+        try:
+            if self._stream.samples_seen + 1 < self._stream.next_round_end:
+                # Mid-window sample: nothing to supervise, push straight through.
+                record = self._stream.push(masked)
+                if record is not None:  # pragma: no cover - defensive
+                    return self._finish_round(record)
+                return []
+            return self._guarded_round(masked, stage, pipeline_state)
+        except InvalidSampleError:  # refused before ingest: replay must skip it
+            self._replay_raw.pop()
+            self._samples_ingested -= 1
+            raise
 
     def _guarded_round(
         self,

@@ -48,14 +48,14 @@ class TestPushMechanics:
         assert block_records == loop_records
         assert len(block_records) > 10
 
-    def test_round_buffer_reuse_does_not_corrupt_prior_round(self):
-        # Round assembly alternates two preallocated buffers; the fast
-        # kernel keeps the previous round's window *by reference* for its
-        # rank-2 update, so the buffer written for round r+1 must never be
-        # the array round r handed to the kernel.  Aliasing would silently
+    def test_ring_reuse_does_not_corrupt_prior_round(self):
+        # Each round scores a view of the sample ring, and the fast kernel
+        # keeps the previous round's view *by reference* for its rank-2
+        # update, so the samples written for round r+1 must never land on
+        # the columns round r handed to the kernel.  Aliasing would silently
         # corrupt the incremental correlation — the reference engine, which
         # carries nothing between rounds, is the oracle.  step = window-1
-        # maximises buffer turnover between consecutive rounds.
+        # maximises ring turnover between consecutive rounds.
         from repro.core import CADConfig
 
         rng = np.random.default_rng(0)
@@ -66,6 +66,73 @@ class TestPushMechanics:
             records[engine] = StreamingCAD(config, 10).push_many(values)
         assert len(records["fast"]) > 5
         assert records["fast"] == records["reference"]
+
+
+class TestRingContract:
+    """The ring holds ``window + step`` samples; cuts and peeks anywhere in
+    its cycle see exactly the samples an uninterrupted stream scores."""
+
+    @pytest.mark.parametrize("restart", ["state", "file"])
+    @pytest.mark.parametrize("offset", [0, 40], ids=["after-wrap", "mid-wrap"])
+    def test_cut_around_a_wrap_resumes_bitwise(
+        self, toy_config, toy_values, tmp_path, restart, offset
+    ):
+        capacity = toy_config.window + toy_config.step
+        cut = 3 * capacity + offset  # offset 40: the last window spans the wrap
+        expected = StreamingCAD(toy_config, 12).push_many(toy_values[:, :900])
+        stream = StreamingCAD(toy_config, 12)
+        records = stream.push_many(toy_values[:, :cut])
+        if restart == "state":
+            resumed = StreamingCAD.from_state(stream.to_state())
+        else:
+            stream.save(tmp_path / "ring.npz")
+            resumed = StreamingCAD.load(tmp_path / "ring.npz")
+        assert resumed.to_state()["buffer"].shape == (12, capacity)
+        records += resumed.push_many(toy_values[:, cut:900])
+        assert records == expected
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_longest_sliding_buffer_layout_resumes_bitwise(
+        self, toy_config, toy_values, spare
+    ):
+        # Streams that compacted a 2 * window buffer in place checkpointed
+        # up to 2 * window columns before a slide; they must load too.
+        cut = 500
+        expected = StreamingCAD(toy_config, 12).push_many(toy_values[:, :900])
+        stream = StreamingCAD(toy_config, 12)
+        records = stream.push_many(toy_values[:, :cut])
+        state = stream.to_state()
+        width = 2 * toy_config.window - spare
+        state["buffer"] = toy_values[:, cut - width : cut].copy()
+        resumed = StreamingCAD.from_state(state)
+        records += resumed.push_many(toy_values[:, cut:900])
+        assert records == expected
+
+    def test_too_short_buffer_is_refused(self, toy_config, toy_values):
+        stream = StreamingCAD(toy_config, 12)
+        stream.push_many(toy_values[:, :500])
+        state = stream.to_state()
+        state["buffer"] = state["buffer"][:, -(toy_config.window - 2) :]
+        with pytest.raises(ValueError, match="buffer"):
+            StreamingCAD.from_state(state)
+
+    def test_peek_window_is_the_window_push_scores(self, toy_config, toy_values):
+        stream = StreamingCAD(toy_config, 12)
+        score = stream.detector.process_window
+        scored, peeked = [], []
+
+        def record_and_score(window):
+            scored.append(window.copy())
+            return score(window)
+
+        stream.detector.process_window = record_and_score
+        for column in toy_values[:, :600].T:  # several laps of the ring
+            if stream.samples_seen + 1 == stream.next_round_end:
+                peeked.append(stream.peek_window(column))
+            stream.push(column)
+        assert len(scored) == len(peeked) > 20
+        for got, want in zip(peeked, scored):
+            assert np.array_equal(got, want)
 
 
 class TestEquivalenceWithBatch:

@@ -1,6 +1,7 @@
 """Degraded-data handling: NaN-aware Pearson, missing-data ingestion,
 per-round masking, and the data-quality reports."""
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +143,24 @@ class TestDetectorMasking:
         detector = CAD(toy_config, 12)
         with pytest.raises(ValueError, match="allow_missing"):
             detector.detect(MultivariateTimeSeries(values, allow_missing=True))
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("call", ["warm_up", "detect"])
+    def test_clean_detector_rejects_nan_before_any_round(
+        self, toy_config, toy_values, call, n_jobs
+    ):
+        """A NaN in a late window raises before the first round is applied:
+        counters, moments, tracker and kernel are as they were."""
+        detector = CAD(toy_config, 12)
+        detector.warm_up(MultivariateTimeSeries(toy_values[:, :400]))
+        before = pickle.dumps(detector.to_state())
+        values = toy_values[:, 400:1000].copy()
+        values[0, 500] = np.nan
+        with pytest.raises(ValueError, match="allow_missing"):
+            getattr(detector, call)(
+                MultivariateTimeSeries(values, allow_missing=True), n_jobs=n_jobs
+            )
+        assert pickle.dumps(detector.to_state()) == before
 
     def test_masked_sensor_reported(self, degraded_config, toy_values):
         values = toy_values[:, :600].copy()

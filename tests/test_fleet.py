@@ -444,6 +444,26 @@ class TestFleetResume:
                 manifest_dir=tmp_path,
             )
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda tenants: tenants.update(b={**tenants["a"], "directory": "tenants/b"}),
+            lambda tenants: tenants.update(a=5),
+            lambda tenants: tenants["a"].update(shard=(tenants["a"]["shard"] + 1) % 8),
+            lambda tenants: tenants["a"].update(n_sensors=N_SENSORS + 1),
+        ],
+        ids=["unknown-tenant", "non-object-entry", "wrong-shard", "wrong-sensor-count"],
+    )
+    def test_manifest_refusal_names_the_tenant(self, tmp_path, edit):
+        self.make(tmp_path, ["a"], resume=False)
+        path = tmp_path / "manifest.json"
+        payload = json.loads(path.read_text())
+        edit(payload["tenants"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FleetManifestError) as caught:
+            self.make(tmp_path, ["a"])
+        assert caught.value.tenant == ("b" if "b" in payload["tenants"] else "a")
+
     def test_fleet_manifest_error_is_supervisor_error(self):
         assert issubclass(FleetManifestError, FleetError)
         assert issubclass(FleetError, SupervisorError)

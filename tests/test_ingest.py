@@ -836,6 +836,59 @@ class TestSupervisedIngest:
                 SampleEnvelope(sensor=0, seq=0, timestamp=1e12, value=1.0)
             )
 
+    def test_strict_supervisor_refuses_nan_envelopes(self, feed):
+        """Without allow_missing a NaN envelope is refused at the door,
+        before the frontier stages it, and the stream goes on as if it had
+        never arrived."""
+        from repro.fleet import FleetManager, TenantSpec
+        from repro.runtime import BreakerPolicy
+
+        history, live = feed
+        strict = replace(CONFIG, allow_missing=False)
+        frontier_config = FrontierConfig(
+            n_sensors=N_SENSORS, disorder_horizon=4, late_policy="drop"
+        )
+        sup_config = SupervisorConfig(breaker=BreakerPolicy(failure_threshold=0))
+        supervisor = StreamSupervisor(
+            strict,
+            N_SENSORS,
+            supervisor=sup_config,
+            clock=VirtualClock(),
+            frontier=IngestFrontier(frontier_config),
+        )
+        supervisor.warm_up(history)
+        records = supervisor.ingest_many(envelopes_from_matrix(live[:, :60]))
+        state = json.dumps(supervisor.frontier.to_state())
+        missing = SampleEnvelope(sensor=2, seq=60, timestamp=60.0, value=np.nan)
+        for push in (supervisor.ingest, supervisor.push_envelope):
+            with pytest.raises(EnvelopeValidationError) as raised:
+                push(missing)
+            assert raised.value.field == "value"
+            assert json.dumps(supervisor.frontier.to_state()) == state
+        records += supervisor.ingest_many(
+            envelopes_from_matrix(live[:, 60:], start_seq=60)
+        )
+        records += supervisor.finish()
+        stream = StreamingCAD(strict, N_SENSORS)
+        stream.warm_up(history)
+        assert records == stream.push_many(live)
+        assert supervisor.health().samples_ingested == supervisor.stream.samples_seen
+
+        manager = FleetManager(
+            [
+                TenantSpec(
+                    "a",
+                    strict,
+                    N_SENSORS,
+                    supervisor=sup_config,
+                    frontier=frontier_config,
+                )
+            ],
+            clock=VirtualClock(),
+        )
+        with pytest.raises(EnvelopeValidationError, match="NaN"):
+            manager.ingest(missing)
+
     def test_frontier_width_must_match(self):
         frontier = IngestFrontier(FrontierConfig(n_sensors=N_SENSORS + 1))
         with pytest.raises(ValueError, match="sensor"):

@@ -20,6 +20,7 @@ from repro.runtime import (
     BreakerPolicy,
     BreakerState,
     ChaosModel,
+    InvalidSampleError,
     QueueOverflowError,
     RetryBudgetExceededError,
     RetryPolicy,
@@ -175,6 +176,51 @@ class TestChaosRecovery:
         health = supervisor.health()
         assert health.slow_rounds > 0
         assert health.retries == 0
+
+
+class TestRefusedSample:
+    @pytest.mark.parametrize("cut", [100, 103], ids=["mid-window", "closes-round"])
+    def test_refused_sample_is_not_replayed(self, feed, baseline, tmp_path, cut):
+        """A sample the stream refuses is neither counted nor kept for
+        replay: a later crash recovery replays only accepted samples."""
+        history, live = feed
+        supervisor = make_supervisor(
+            SupervisorConfig(checkpoint_every=5, keep_checkpoints=2),
+            checkpoint_dir=tmp_path,
+            chaos=_CrashOnceAt(crash_round=baseline[len(baseline) // 2].index),
+        )
+        supervisor.warm_up(history)
+        records = supervisor.process_many(live[:, :cut])
+        poisoned = live[:, cut].copy()
+        poisoned[3] = np.inf
+        with pytest.raises(InvalidSampleError):
+            supervisor.process(poisoned)
+        assert supervisor.health().samples_ingested == cut
+        records += supervisor.process_many(live[:, cut:])
+
+        assert supervisor.health().crashes_recovered == 1
+        assert supervisor.health().samples_ingested == live.shape[1]
+        assert records == baseline
+
+    def test_refused_staged_sample_is_not_replayed(self, feed, baseline):
+        """The offload path (``process_staged``) refuses the same way."""
+        from repro.core.pipeline import CommunityPipeline
+
+        history, live = feed
+        cut = CONFIG.window - 1
+        supervisor = make_supervisor()
+        supervisor.warm_up(history)
+        records = supervisor.process_many(live[:, :cut])
+        stage = CommunityPipeline(CONFIG, N_SENSORS).process(
+            supervisor.stage_window(live[:, cut])
+        )
+        poisoned = live[:, cut].copy()
+        poisoned[3] = np.inf
+        with pytest.raises(InvalidSampleError):
+            supervisor.process_staged(poisoned, stage)
+        assert supervisor.health().samples_ingested == cut
+        records += supervisor.process_many(live[:, cut:])
+        assert records == baseline
 
 
 class TestWatchdog:
