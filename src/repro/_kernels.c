@@ -4,8 +4,8 @@
  *
  *   repro_corr_from_sums   the rolling correlation's normalisation of its
  *                          running sums into a Pearson matrix;
- *   repro_tsg_stale_rows   the delta TSG builder's separation certificate;
- *   repro_tsg_assemble     the TSG's CSR arrays from the top-k picks;
+ *   repro_tsg_certify      the delta TSG builder's separation certificate;
+ *   repro_tsg_csr          the TSG's CSR arrays from the top-k pick table;
  *   repro_louvain_labels   Louvain community labels on the CSR graph.
  *
  * Each one reproduces the numpy (or dict) code it replaces bit for bit, so
@@ -21,9 +21,26 @@
 
 enum {
     KERNEL_OK = 0,
-    KERNEL_NO_MEMORY = 5,
-    KERNEL_OVER_CAPACITY = -1
+    KERNEL_NO_MEMORY = 5
 };
+
+/*
+ * The O(n^2) row scans are element-wise or integer reductions, so a wider
+ * vector unit returns the same bits.  On x86-64 ELF targets whose compiler
+ * has target_clones they are compiled twice, for AVX2 and for the baseline
+ * ISA, and the dynamic loader picks the clone the host runs; the library is
+ * never built for one host's -march, so a cached copy can be shared.
+ * Define REPRO_NO_TARGET_CLONES to build the baseline code alone.
+ */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute) \
+    && !defined(REPRO_NO_TARGET_CLONES)
+#if __has_attribute(target_clones)
+#define ROW_SCAN __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef ROW_SCAN
+#define ROW_SCAN
+#endif
 
 /* ------------------------------------------------------------------------
  * Rolling correlation
@@ -42,6 +59,7 @@ enum {
  * sensor is constant when its norm is <= 1e-12.  Returns KERNEL_OK or
  * KERNEL_NO_MEMORY.
  */
+ROW_SCAN
 int repro_corr_from_sums(int64_t n, double window, const double *sums,
                          const double *cross, double *out)
 {
@@ -106,44 +124,65 @@ int repro_corr_from_sums(int64_t n, double window, const double *sums,
 /* ------------------------------------------------------------------------
  * TSG construction
  *
- * Strength is |corr| off the diagonal and -inf on it: as in
+ * Strength is |corr| off the diagonal; as in
  * repro.timeseries.correlation.top_k_neighbors, a row never picks its own
- * diagonal.  members is the n x n row-major pick mask: members[i * n + j]
- * when j is among row i's top k.
+ * diagonal.  picks is the n x k row-major pick table: picks[i * k + m] is
+ * the m-th of row i's top k columns, in no particular order.  The caller
+ * guarantees every pick lies in [0, n); the certificate marks a row with a
+ * diagonal or repeated pick (a corrupt table) stale.
  * --------------------------------------------------------------------- */
 
 /*
- * Separation certificate of every row of members against corr: a row is
- * stale unless it holds no NaN strength and its weakest member is strictly
- * stronger than its strongest non-member.  Writes the stale rows, in
- * ascending order, to stale_out (n slots) and returns how many there are.
+ * Separation certificate of every row of picks against corr: a row is
+ * certified when it holds no NaN strength and its weakest pick is strictly
+ * stronger than its strongest non-pick.  With weakest = the weakest pick's
+ * strength, that is: every j != i is ordered (not NaN) and exactly k of
+ * them have strength >= weakest (the k picks themselves).  One branch-free
+ * pass over the row counts both.  Writes the stale rows, in ascending
+ * order, to stale_out (n slots) and returns how many there are, or
+ * -KERNEL_NO_MEMORY.
  */
-int64_t repro_tsg_stale_rows(int64_t n, const double *corr,
-                             const unsigned char *members, int64_t *stale_out)
+ROW_SCAN
+int64_t repro_tsg_certify(int64_t n, int64_t k, const double *corr,
+                          const int64_t *picks, int64_t *stale_out)
 {
+    /* owner[j] == i while row i is checked and has picked j already. */
+    int64_t *owner = malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    if (owner == NULL) {
+        return -KERNEL_NO_MEMORY;
+    }
+    for (int64_t j = 0; j < n; j++) {
+        owner[j] = -1;
+    }
     int64_t n_stale = 0;
     for (int64_t i = 0; i < n; i++) {
         const double *row = corr + i * n;
-        const unsigned char *picked = members + i * n;
-        double member_min = INFINITY;
-        double other_max = -INFINITY;
-        int stale = 0;
-        for (int64_t j = 0; j < n; j++) {
-            double s = j == i ? -INFINITY : fabs(row[j]);
-            if (isnan(s)) {
-                stale = 1;
-                break;
-            }
-            if (picked[j]) {
-                member_min = s < member_min ? s : member_min;
-            } else {
-                other_max = s > other_max ? s : other_max;
-            }
+        const int64_t *pick = picks + i * k;
+        double weakest = INFINITY;
+        int corrupt = 0;
+        for (int64_t m = 0; m < k; m++) {
+            int64_t j = pick[m];
+            corrupt |= j == i || owner[j] == i;
+            owner[j] = i;
+            double s = fabs(row[j]);
+            weakest = s < weakest ? s : weakest;
         }
-        if (stale || !(member_min > other_max)) {
+        int64_t at_least = 0;
+        int64_t ordered = 0;
+        for (int64_t j = 0; j < n; j++) {
+            double s = fabs(row[j]);
+            at_least += s >= weakest;
+            ordered += s == s;
+        }
+        /* The diagonal takes part in neither count. */
+        double diagonal = fabs(row[i]);
+        at_least -= diagonal >= weakest;
+        ordered -= diagonal == diagonal;
+        if (corrupt || ordered != n - 1 || at_least != k) {
             stale_out[n_stale++] = i;
         }
     }
+    free(owner);
     return n_stale;
 }
 
@@ -153,39 +192,56 @@ int64_t repro_tsg_stale_rows(int64_t n, const double *corr,
  * joined when either picked the other; the edge takes the correlation of
  * the lower-index vertex's pick when it made one (corr[lo, hi]), else
  * corr[hi, lo], and is kept when |weight| >= tau.  Rows are written in
- * ascending column order, both directions of every edge stored.  The
- * diagonal ranks last, so with k < n no row picks itself.
- * Returns the number of stored entries, or KERNEL_OVER_CAPACITY when they
- * would not fit in capacity slots of indices and weights.
+ * ascending column order, both directions of every edge stored.
+ *
+ * Two n x ceil(n / 64) bitsets hold "i picked j" and "i or j picked the
+ * other"; walking a row of the second with count-trailing-zeros yields its
+ * columns in ascending order, so the pass costs O(n^2 / 64 + n k), not n^2
+ * mask reads.  Every pick sets at most two bits, so indices and weights
+ * need 2 n k slots.  Returns the number of stored entries, or
+ * -KERNEL_NO_MEMORY.
  */
-int64_t repro_tsg_assemble(int64_t n, const double *corr,
-                           const unsigned char *members, double tau,
-                           int64_t capacity, int64_t *indptr, int64_t *indices,
-                           double *weights)
+int64_t repro_tsg_csr(int64_t n, int64_t k, const double *corr,
+                      const int64_t *picks, double tau, int64_t *indptr,
+                      int64_t *indices, double *weights)
 {
+    int64_t words = (n + 63) / 64;
+    size_t n_words = (size_t)(n > 0 ? 2 * n * words : 1);
+    uint64_t *picked = calloc(n_words, sizeof(uint64_t));
+    if (picked == NULL) {
+        return -KERNEL_NO_MEMORY;
+    }
+    uint64_t *either = picked + n * words;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t m = 0; m < k; m++) {
+            int64_t j = picks[i * k + m];
+            uint64_t bit_j = (uint64_t)1 << (j & 63);
+            picked[i * words + (j >> 6)] |= bit_j;
+            either[i * words + (j >> 6)] |= bit_j;
+            either[j * words + (i >> 6)] |= (uint64_t)1 << (i & 63);
+        }
+    }
     int64_t nnz = 0;
     indptr[0] = 0;
     for (int64_t i = 0; i < n; i++) {
-        for (int64_t j = 0; j < n; j++) {
-            int64_t lo = i < j ? i : j;
-            int64_t hi = i < j ? j : i;
-            int forward = members[lo * n + hi];
-            if (!forward && !members[hi * n + lo]) {
-                continue;
+        const uint64_t *row = either + i * words;
+        for (int64_t w = 0; w < words; w++) {
+            for (uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+                int64_t j = w * 64 + __builtin_ctzll(bits);
+                int64_t lo = i < j ? i : j;
+                int64_t hi = i < j ? j : i;
+                int forward = (picked[lo * words + (hi >> 6)] >> (hi & 63)) & 1;
+                double weight = fabs(forward ? corr[lo * n + hi] : corr[hi * n + lo]);
+                if (weight >= tau) {
+                    indices[nnz] = j;
+                    weights[nnz] = weight;
+                    nnz++;
+                }
             }
-            double weight = fabs(forward ? corr[lo * n + hi] : corr[hi * n + lo]);
-            if (!(weight >= tau)) {
-                continue;
-            }
-            if (nnz >= capacity) {
-                return KERNEL_OVER_CAPACITY;
-            }
-            indices[nnz] = j;
-            weights[nnz] = weight;
-            nnz++;
         }
         indptr[i + 1] = nnz;
     }
+    free(picked);
     return nnz;
 }
 

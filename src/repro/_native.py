@@ -4,18 +4,25 @@ One C source (``_kernels.c``), one cached shared library, one memoised
 loader: :func:`load_kernels` returns a :class:`Kernels` whose methods run
 the per-round O(n^2) passes of the fast engine -- the rolling
 correlation's normalisation (:mod:`repro.timeseries.rolling`), the delta
-TSG builder's separation certificate and CSR assembly
-(:mod:`repro.graph.delta`) and Louvain (:mod:`repro.graph.csr`).  Each one
-reproduces the numpy or dict code it replaces bit for bit.
+TSG builder's separation certificate and CSR assembly over its ``(n, k)``
+pick table (:mod:`repro.graph.delta`) and Louvain
+(:mod:`repro.graph.csr`).  Each one reproduces the numpy or dict code it
+replaces bit for bit.
 
 The package runs straight from a source tree (``PYTHONPATH=src``) with no
 install step, so no setuptools extension is ever built.  Instead the first
 call compiles ``_kernels.c`` with the C compiler Python itself was built
 with (``sysconfig``'s ``CC``) and loads the library with :mod:`ctypes`:
 
-* flags ``-O2 -fPIC -shared -ffp-contract=off`` (and ``-lm``), never
+* flags ``-O3 -fPIC -shared -ffp-contract=off`` (and ``-lm``), never
   ``-ffast-math``: a fused multiply-add or a reassociated sum would change
-  the kernels' bits;
+  the kernels' bits.  ``-O3`` lets the compiler vectorise the O(n^2) row
+  scans, which ``-O2`` leaves scalar; they are element-wise or integer
+  reductions, so the vector code returns the scalar code's bits;
+* never ``-march=native``, because the cached library may be shared
+  between hosts.  On x86-64 ELF targets the correlation normalisation and
+  the TSG certificate are built as ``target_clones("avx2", "default")``
+  instead, and the dynamic loader picks the clone the host runs;
 * the library is cached in ``$XDG_CACHE_HOME/repro`` (default
   ``~/.cache/repro``, created with mode 0700) under a name hashed from the
   source, the compiler command, the flags and the platform tag, so an
@@ -55,7 +62,7 @@ from typing import Any
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 
 #: ``repro_louvain_labels`` status codes (see ``_kernels.c``) -> message.
@@ -172,19 +179,27 @@ _F64 = ctypes.c_double
 _PTR = ctypes.c_void_p
 
 
-def _square_pair(
-    corr: np.ndarray, members: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``corr`` and ``members`` as contiguous ``(n, n)`` float64 / bool."""
+def _pick_table(corr: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``corr`` as contiguous ``(n, n)`` float64, ``picks`` as ``(n, k)`` int64.
+
+    Refuses a pick table the C code could read out of bounds with: a
+    wrong shape, ``k`` outside ``[1, n)`` or a pick outside ``[0, n)``.  A
+    repeated or diagonal pick stays legal; the certificate marks its row
+    stale.
+    """
     corr = np.ascontiguousarray(corr, dtype=np.float64)
-    members = np.ascontiguousarray(members, dtype=bool)
+    picks = np.ascontiguousarray(picks, dtype=np.int64)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
         raise ValueError(f"corr must be square, got shape {corr.shape}")
-    if members.shape != corr.shape:
+    n = corr.shape[0]
+    if picks.ndim != 2 or picks.shape[0] != n or not 1 <= picks.shape[1] < n:
         raise ValueError(
-            f"members must have corr's shape {corr.shape}, got {members.shape}"
+            f"picks must have shape ({n}, k) with 1 <= k < {n}, got {picks.shape}"
         )
-    return corr, members
+    # One reduction checks both ends: a negative pick wraps to >= 2**63.
+    if picks.view(np.uint64).max() >= n:
+        raise ValueError(f"every pick must lie in [0, {n})")
+    return corr, picks
 
 
 class Kernels:
@@ -202,13 +217,13 @@ class Kernels:
             ctypes.c_int,
             [_I64, _PTR, _PTR, _PTR, _I64, _F64, _F64, _PTR],
         )
-        self._stale_rows = _bind(
-            library.repro_tsg_stale_rows, _I64, [_I64, _PTR, _PTR, _PTR]
+        self._certify = _bind(
+            library.repro_tsg_certify, _I64, [_I64, _I64, _PTR, _PTR, _PTR]
         )
-        self._assemble = _bind(
-            library.repro_tsg_assemble,
+        self._tsg_csr = _bind(
+            library.repro_tsg_csr,
             _I64,
-            [_I64, _PTR, _PTR, _F64, _I64, _PTR, _PTR, _PTR],
+            [_I64, _I64, _PTR, _PTR, _F64, _PTR, _PTR, _PTR],
         )
         self._corr = _bind(
             library.repro_corr_from_sums, ctypes.c_int, [_I64, _F64, _PTR, _PTR, _PTR]
@@ -243,38 +258,41 @@ class Kernels:
         )
         return labels
 
-    def tsg_stale_rows(self, corr: np.ndarray, members: np.ndarray) -> np.ndarray:
-        """Rows of ``members`` whose top-k set ``corr`` does not certify."""
-        corr, members = _square_pair(corr, members)
-        stale = np.empty(corr.shape[0], dtype=np.int64)
-        count = self._stale_rows(
-            corr.shape[0], corr.ctypes.data, members.ctypes.data, stale.ctypes.data
+    def tsg_certify(self, corr: np.ndarray, picks: np.ndarray) -> np.ndarray:
+        """Rows of the ``(n, k)`` pick table that ``corr`` does not certify."""
+        corr, picks = _pick_table(corr, picks)
+        n, k = picks.shape
+        stale = np.empty(n, dtype=np.int64)
+        count = self._certify(
+            n, k, corr.ctypes.data, picks.ctypes.data, stale.ctypes.data
         )
+        if count < 0:
+            raise MemoryError("the TSG certificate could not allocate its scratch")
         return stale[:count]
 
-    def tsg_assemble(
-        self, corr: np.ndarray, members: np.ndarray, k: int, tau: float
+    def tsg_csr(
+        self, corr: np.ndarray, picks: np.ndarray, tau: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(indptr, indices, |weights|)`` of the TSG ``members`` picks."""
-        corr, members = _square_pair(corr, members)
-        n = corr.shape[0]
-        # k picks per row give at most n*k undirected edges, stored twice.
+        """``(indptr, indices, |weights|)`` of the TSG of the pick table."""
+        corr, picks = _pick_table(corr, picks)
+        n, k = picks.shape
+        # Each pick stores at most both directions of one edge.
         capacity = 2 * n * k
         indptr = np.empty(n + 1, dtype=np.int64)
         indices = np.empty(capacity, dtype=np.int64)
         weights = np.empty(capacity, dtype=np.float64)
-        stored = self._assemble(
+        stored = self._tsg_csr(
             n,
+            k,
             corr.ctypes.data,
-            members.ctypes.data,
+            picks.ctypes.data,
             tau,
-            capacity,
             indptr.ctypes.data,
             indices.ctypes.data,
             weights.ctypes.data,
         )
         if stored < 0:
-            raise ValueError(f"members picks more than k={k} columns in some row")
+            raise MemoryError("the TSG assembly could not allocate its bitsets")
         return indptr, indices[:stored], weights[:stored]
 
     def corr_from_sums(

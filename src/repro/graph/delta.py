@@ -5,32 +5,41 @@ correlation matrix — and with it the k-NN Time-Series Graph — barely moves
 round over round.  A from-scratch build (:func:`repro.graph.csr.tsg_csr`)
 pays a full ``argpartition`` over every row plus a fresh CSR assembly each
 round.  This module — the fast engine's TSG stage — keeps the previous
-round's per-row top-k candidate sets and re-derives only what the new
-correlation matrix actually invalidates, while staying **bitwise
-identical** to ``tsg_csr(corr, k, tau).absolute()`` on every round (not
-just anchors).  Both O(n^2) passes of a round run in the compiled kernels
-(``repro/_kernels.c``, loaded by :mod:`repro._native`).
+round's per-row top-k candidate sets in an ``(n, k)`` pick table and
+re-derives only what the new correlation matrix actually invalidates,
+while staying **bitwise identical** to ``tsg_csr(corr, k, tau).absolute()``
+on every round (not just anchors).  Both per-round passes read the table,
+not an n x n mask, and run in the compiled kernels (``repro/_kernels.c``,
+loaded by :mod:`repro._native`).
 
 The exactness argument, row by row:
 
-* *Separation certificate* (``repro_tsg_stale_rows``).  A cached top-k
+* *Separation certificate* (``repro_tsg_certify``).  A cached top-k
   member set is the unique top-k of the new strength row iff the weakest
   member is **strictly** stronger than the strongest non-member.  When
   that holds, any correct top-k algorithm — including the
   ``argpartition`` the full path runs — must return exactly that set, so
-  the cache is the full path's answer without running it.  The
+  the cache is the full path's answer without running it.  The kernel
+  gathers the k member strengths, takes their minimum, and counts the
+  off-diagonal strengths at or above it in one branch-free pass: the row
+  is certified iff none is NaN and the count is exactly k.  The
   certificate is a property of the *new* matrix alone, so it is valid
-  regardless of how the cache was produced.  A row holding NaN fails it.
+  regardless of how the cache was produced.  A row holding NaN fails it,
+  and so does a row whose table row repeats a column or names the
+  diagonal.
 * *Row-subset recompute.*  Stale rows are re-ranked in numpy with
   ``argpartition`` on exactly the bytes the full path would rank, so tie
-  picks stay the full path's.  Introselect is row-independent, so a
-  row-subset call returns the same per-row picks as the full call.
-* *Edge assembly* (``repro_tsg_assemble``).  An undirected edge {i, j}
+  picks stay the full path's, and written over their table rows.
+  Introselect is row-independent, so a row-subset call returns the same
+  per-row picks as the full call.
+* *Edge assembly* (``repro_tsg_csr``).  An undirected edge {i, j}
   exists when either side picked the other; it keeps the correlation of
   the lower-index side's pick when there is one (``corr[lo, hi]``, the
   dict path's insertion rule), else ``corr[hi, lo]``, and is pruned when
-  ``|weight| < tau``.  Rows are written in ascending column order with
-  absolute weights — :meth:`CSRGraph.from_edges`'s layout — in one pass.
+  ``|weight| < tau``.  The kernel sets "i picked j" and "either picked
+  the other" bits from the table and walks each row's set bits in
+  ascending column order, writing absolute weights —
+  :meth:`CSRGraph.from_edges`'s layout — in O(n^2 / 64 + n k).
 
 Periodic anchored full rebuilds (driven by the caller, aligned with the
 correlation kernel's ``corr_refresh`` anchors) re-rank every row from
@@ -80,10 +89,13 @@ class DeltaTSGBuilder:
         self.n_sensors = n_sensors
         self.k = k
         self.tau = tau
-        #: (n, n) bool; ``members[i, j]`` — j is in row i's top-k candidate
-        #: set.  Invariant: exactly k True per row (argpartition picks k
-        #: distinct columns), which bounds the CSR assembly's output.
-        self._members: np.ndarray | None = None
+        #: (n, k) int64; row i holds the k columns of row i's top-k
+        #: candidate set, in no particular order.  Invariant: k distinct
+        #: off-diagonal columns per row (argpartition's picks), which bounds
+        #: the CSR assembly's output at 2 n k entries.
+        self._picks: np.ndarray | None = None
+        #: (n, 1) flat index of each row's first cell in an (n, n) mask.
+        self._row_starts = np.arange(0, n_sensors * n_sensors, n_sensors)[:, None]
         # Diagnostics (not serialised; reset on restore).
         self.full_rebuilds = 0
         self.rows_recomputed = 0
@@ -107,17 +119,11 @@ class DeltaTSGBuilder:
         strength[np.arange(rows.size), rows] = np.inf
         return np.argpartition(strength, kth=self.k - 1, axis=1)[:, : self.k]
 
-    def _refresh_members(self, corr: np.ndarray) -> np.ndarray:
-        n = self.n_sensors
-        rows = np.arange(n)
-        picks = self._rank_rows(corr, rows)
-        if self._members is None:
-            self._members = np.zeros((n, n), dtype=bool)
-        else:
-            self._members[:] = False
-        self._members[rows[:, None], picks] = True
+    def _refresh_picks(self, corr: np.ndarray) -> np.ndarray:
+        picks = self._rank_rows(corr, np.arange(self.n_sensors))
+        self._picks = np.ascontiguousarray(picks)
         self.full_rebuilds += 1
-        return self._members
+        return self._picks
 
     # ------------------------------------------------------------------
     # per-round construction
@@ -134,32 +140,37 @@ class DeltaTSGBuilder:
         if corr.shape != (n, n):
             raise ValueError(f"corr must have shape ({n}, {n}), got {corr.shape}")
         kernels = load_kernels()
-        members = self._members
-        if kernels is None or full or members is None:
-            members = self._refresh_members(corr)
+        picks = self._picks
+        if kernels is None or full or picks is None:
+            picks = self._refresh_picks(corr)
         else:
-            stale = kernels.tsg_stale_rows(corr, members)
+            stale = kernels.tsg_certify(corr, picks)
             if stale.size:
-                picks = self._rank_rows(corr, stale)
-                members[stale] = False
-                members[stale[:, None], picks] = True
+                picks[stale] = self._rank_rows(corr, stale)
                 self.rows_recomputed += int(stale.size)
             else:
                 self.certified_rounds += 1
         if kernels is None:
             return tsg_csr(corr, self.k, self.tau).absolute()
-        return CSRGraph(n, *kernels.tsg_assemble(corr, members, self.k, self.tau))
+        return CSRGraph(n, *kernels.tsg_csr(corr, picks, self.tau))
 
     # ------------------------------------------------------------------
     # state round-trip (checkpoints)
 
     def reset(self) -> None:
         """Forget cached candidate sets; keep configuration."""
-        self._members = None
+        self._picks = None
 
     def to_state(self) -> dict[str, Any]:
-        """Portable state: the candidate-set cache."""
-        members = None if self._members is None else self._members.copy()
+        """Portable state: the candidate sets as an ``(n, n)`` bool mask.
+
+        ``members[i, j]`` is True when j is in row i's top k: the
+        ``delta_members`` layout every checkpoint version stores.
+        """
+        members = None
+        if self._picks is not None:
+            members = np.zeros((self.n_sensors, self.n_sensors), dtype=bool)
+            members.ravel()[self._picks + self._row_starts] = True
         return {"n_sensors": self.n_sensors, "k": self.k, "tau": self.tau,
                 "members": members}
 
@@ -167,14 +178,19 @@ class DeltaTSGBuilder:
     def from_state(cls, state: dict[str, Any]) -> "DeltaTSGBuilder":
         builder = cls(int(state["n_sensors"]), int(state["k"]), float(state["tau"]))
         members = state.get("members")
-        if members is not None:
-            members = np.asarray(members, dtype=bool)
-            n = builder.n_sensors
-            if members.shape != (n, n):
-                raise ValueError(
-                    f"members must have shape ({n}, {n}), got {members.shape}"
-                )
-            if not (members.sum(axis=1) == builder.k).all():
-                raise ValueError("members must have exactly k entries per row")
-            builder._members = members.copy()
-        return builder
+        if members is None:
+            return builder
+        members = np.asarray(members, dtype=bool)
+        n, k = builder.n_sensors, builder.k
+        if members.shape != (n, n):
+            raise ValueError(f"members must have shape ({n}, {n}), got {members.shape}")
+        # Flat indices ascend row by row, so with k entries per row the i-th
+        # block of k lies in row i: every column it gives is in [0, n) (a
+        # negative one wraps to >= 2**63 as uint64).
+        flat = np.flatnonzero(members)
+        if flat.size == n * k:
+            picks = flat.reshape(n, k) - builder._row_starts
+            if picks.view(np.uint64).max() < n:
+                builder._picks = picks
+                return builder
+        raise ValueError("members must have exactly k entries per row")

@@ -70,20 +70,29 @@ def assert_csr_equal(got, expected):
         assert expected_array.flags.c_contiguous, name
 
 
-def drifting_corrs(seed, n, rounds, decimals, n_constant, nan_rate):
+def drifting_corrs(seed, n, rounds, decimals, n_constant, nan_rate, tie_k=None):
     """Correlation-like matrices that drift a little every round.
 
     Slow drift lets cached top-k sets survive (certified rounds) while
     rounding to ``decimals`` makes exact ties between candidates common.
-    The first ``n_constant`` sensors are zero-variance (all-zero rows and
-    columns, as the kernels emit them); each round, each sensor's row and
-    column are NaN with probability ``nan_rate``.
+    With ``tie_k``, about half the rows (the same ones every round) also
+    get a tie exactly on their top-``tie_k`` boundary: the
+    (tie_k + 1)-th strongest off-diagonal entry takes the tie_k-th's
+    strength.  The first ``n_constant`` sensors are zero-variance
+    (all-zero rows and columns, as the kernels emit them); each round,
+    each sensor's row and column are NaN with probability ``nan_rate``.
     """
     rng = np.random.default_rng(seed)
     base = rng.uniform(-1.0, 1.0, (n, n))
+    tie_rows = [] if tie_k is None else np.flatnonzero(rng.random(n) < 0.5)
     for _ in range(rounds):
         base += rng.normal(0.0, 0.05, (n, n)) * (rng.random((n, n)) < 0.2)
         corr = np.clip(np.round((base + base.T) / 2.0, decimals), -1.0, 1.0)
+        for i in tie_rows:
+            if tie_k + 1 < n:
+                order = np.argsort(-np.abs(corr[i]) + 3.0 * (np.arange(n) == i))
+                j, strength = order[tie_k], abs(corr[i, order[tie_k - 1]])
+                corr[i, j] = corr[j, i] = np.copysign(strength, corr[i, j])
         np.fill_diagonal(corr, 1.0)
         corr[:n_constant, :] = 0.0
         corr[:, :n_constant] = 0.0
@@ -93,18 +102,87 @@ def drifting_corrs(seed, n, rounds, decimals, n_constant, nan_rate):
         yield corr
 
 
+def certificate_spec(corr, picks):
+    """Stale rows of a pick table, straight from the definition.
+
+    A row is certified when its picks are k distinct off-diagonal columns,
+    no off-diagonal strength is NaN, and its weakest pick is strictly
+    stronger than its strongest non-pick.
+    """
+    n, k = picks.shape
+    stale = []
+    for i in range(n):
+        off = np.arange(n) != i
+        strength = np.abs(corr[i])
+        chosen = np.zeros(n, dtype=bool)
+        chosen[picks[i]] = True
+        others = strength[off & ~chosen]
+        if (
+            np.unique(picks[i]).size != k
+            or chosen[i]
+            or np.isnan(strength[off]).any()
+            or (others.size and strength[picks[i]].min() <= others.max())
+        ):
+            stale.append(i)
+    return stale
+
+
 class TestDeltaBuilder:
     """Builder-level bit-identity against the from-scratch CSR build."""
 
     @settings(max_examples=60, deadline=None)
+    @example(seed=0, n=2, k_draw=0, decimals=1, n_constant=0, nan_rate=0.0,
+             corrupt=False)
+    @example(seed=1, n=5, k_draw=3, decimals=1, n_constant=2, nan_rate=0.05,
+             corrupt=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        k_draw=st.integers(0, 38),
+        decimals=st.sampled_from([1, 2, 6]),
+        n_constant=st.integers(0, 2),
+        nan_rate=st.sampled_from([0.0, 0.02, 0.3]),
+        corrupt=st.booleans(),
+    )
+    def test_property_certificate_is_the_spec(
+        self, seed, n, k_draw, decimals, n_constant, nan_rate, corrupt
+    ):
+        kernels = _native.load_kernels()
+        if kernels is None:
+            pytest.skip("the kernels could not be compiled here")
+        rng = np.random.default_rng(seed)
+        k = 1 + k_draw % (n - 1)
+        builder = DeltaTSGBuilder(n, k, 0.0)
+        corrs = drifting_corrs(
+            seed, n, 6, decimals, min(n_constant, n), nan_rate, tie_k=k
+        )
+        for r, corr in enumerate(corrs):
+            if r:
+                # Last round's picks against this round's matrix, with
+                # some rows re-drawn at random.
+                picks = builder._picks.copy()
+                for i in np.flatnonzero(rng.random(n) < 0.2):
+                    if corrupt:  # repeats and diagonal picks allowed
+                        picks[i] = rng.integers(0, n, k)
+                    else:
+                        others = np.delete(np.arange(n), i)
+                        picks[i] = rng.choice(others, k, replace=False)
+                got = kernels.tsg_certify(corr, picks)
+                assert got.dtype == np.int64
+                assert got.tolist() == certificate_spec(corr, picks)
+            builder.build(corr)
+
+    @settings(max_examples=60, deadline=None)
     @example(seed=0, n=2, k_draw=0, tau=0.0, decimals=1, n_constant=0,
-             nan_rate=0.0, full_every=0)
+             nan_rate=0.0, full_every=0, ties=False)
     @example(seed=1, n=2, k_draw=0, tau=1.0, decimals=1, n_constant=1,
-             nan_rate=0.0, full_every=0)
+             nan_rate=0.0, full_every=0, ties=True)
     @example(seed=2, n=9, k_draw=7, tau=0.0, decimals=2, n_constant=0,
-             nan_rate=0.1, full_every=3)
+             nan_rate=0.1, full_every=3, ties=False)
     @example(seed=3, n=9, k_draw=7, tau=1.0, decimals=6, n_constant=2,
-             nan_rate=0.0, full_every=0)
+             nan_rate=0.0, full_every=0, ties=False)
+    @example(seed=4, n=12, k_draw=3, tau=0.0, decimals=2, n_constant=1,
+             nan_rate=0.05, full_every=0, ties=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 16),
@@ -114,13 +192,18 @@ class TestDeltaBuilder:
         n_constant=st.integers(0, 2),
         nan_rate=st.sampled_from([0.0, 0.05, 0.3]),
         full_every=st.sampled_from([0, 1, 4]),
+        ties=st.booleans(),
     )
     def test_property_build_is_bitwise_the_full_path(
-        self, seed, n, k_draw, tau, decimals, n_constant, nan_rate, full_every
+        self, seed, n, k_draw, tau, decimals, n_constant, nan_rate, full_every,
+        ties,
     ):
         k = 1 + k_draw % (n - 1)  # k = n - 1 included
         builder = DeltaTSGBuilder(n, k, tau)
-        corrs = drifting_corrs(seed, n, 12, decimals, min(n_constant, n), nan_rate)
+        corrs = drifting_corrs(
+            seed, n, 12, decimals, min(n_constant, n), nan_rate,
+            tie_k=k if ties else None,
+        )
         for r, corr in enumerate(corrs):
             full = bool(full_every) and r % full_every == 0
             built = builder.build(corr, full=full)
@@ -216,6 +299,12 @@ class TestDeltaBuilder:
         with pytest.raises(ValueError, match="shape"):
             DeltaTSGBuilder.from_state(state)
         state["members"] = np.zeros((6, 6), dtype=bool)  # 0 per row, not k
+        with pytest.raises(ValueError, match="exactly k"):
+            DeltaTSGBuilder.from_state(state)
+        uneven = np.zeros((6, 6), dtype=bool)  # n * k entries, not k per row
+        uneven[0, 1:4] = uneven[1, 0] = True
+        uneven[2:, :2] = True
+        state["members"] = uneven
         with pytest.raises(ValueError, match="exactly k"):
             DeltaTSGBuilder.from_state(state)
 
@@ -323,6 +412,26 @@ class TestDeltaCheckpointResume:
         records = stream.push_many(live[:, 300:])
         assert resumed.push_many(live[:, 300:]) == records
         assert records == expected.push_many(live[:, 300:])
+
+    def test_archive_keeps_the_members_mask_layout(self, feed, tmp_path):
+        # The builder holds an (n, k) pick table; the archive keeps the
+        # (n, n) bool mask it has always stored, so archives written
+        # before the table existed resume exactly like new ones.
+        history, live = feed
+        config = delta_config()
+        stream = StreamingCAD(config, N_SENSORS)
+        stream.warm_up(history)
+        stream.push_many(live[:, :260])
+        path = tmp_path / "layout.npz"
+        save_checkpoint(stream, path)
+        with np.load(path) as archive:
+            mask = archive["delta_members"]
+        assert mask.dtype == bool and mask.shape == (N_SENSORS, N_SENSORS)
+        assert (mask.sum(axis=1) == config.k).all()
+        picks = stream.detector.pipeline._builder._picks
+        assert [set(row) for row in picks] == [set(np.flatnonzero(r)) for r in mask]
+        resumed = load_checkpoint(path)
+        assert resumed.push_many(live[:, 260:]) == stream.push_many(live[:, 260:])
 
     def test_kill_resume_is_bit_identical(self, feed, tmp_path):
         history, live = feed

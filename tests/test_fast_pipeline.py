@@ -6,6 +6,7 @@ after an exact refresh), and the array-backed TSG/Louvain must reproduce the
 dict reference implementations label for label.
 """
 
+import ctypes
 import shutil
 import subprocess
 import types
@@ -487,20 +488,29 @@ class TestNativeKernels:
                 [0.1, 0.5, np.nan, 1.0],  # picked its own diagonal: stale
             ]
         )
-        members = np.zeros((4, 4), dtype=bool)
-        members[[0, 1, 2, 3], [1, 2, 1, 3]] = True
-        stale = self.kernels().tsg_stale_rows(corr, members)
+        picks = np.array([[1], [2], [1], [3]])
+        stale = self.kernels().tsg_certify(corr, picks)
         assert stale.tolist() == [1, 2, 3]
         corr[2, 3] = 0.0
-        assert self.kernels().tsg_stale_rows(corr, members).tolist() == [1, 3]
+        assert self.kernels().tsg_certify(corr, picks).tolist() == [1, 3]
+        # A repeated pick (a corrupt table) only makes its row stale, even
+        # where counting alone would pass: row 2 has k = 2 strengths at or
+        # above its weakest pick's 0.5, but only one distinct pick.
+        corr[1, 3] = corr[3, 2] = 0.0
+        corr[2, 0] = 0.6
+        picks = np.array([[1, 2], [0, 2], [1, 1], [0, 1]])
+        assert self.kernels().tsg_certify(corr, picks).tolist() == [2]
 
     @pytest.mark.parametrize(
         "call",
         [
             "stale-nonsquare-corr",
             "stale-members-shape",
+            "stale-pick-out-of-range",
             "assemble-nonsquare-corr",
             "assemble-members-shape",
+            "assemble-k-not-below-n",
+            "assemble-negative-pick",
             "corr-cross-shape",
             "corr-sums-2d",
         ],
@@ -512,24 +522,32 @@ class TestNativeKernels:
         kernels = _native.Kernels(
             types.SimpleNamespace(
                 repro_louvain_labels=trap,
-                repro_tsg_stale_rows=trap,
-                repro_tsg_assemble=trap,
+                repro_tsg_certify=trap,
+                repro_tsg_csr=trap,
                 repro_corr_from_sums=trap,
             )
         )
         corr = np.zeros((4, 4))
+        picks = np.array([[1, 2], [0, 2], [0, 1], [0, 1]])
         calls = {
-            "stale-nonsquare-corr": lambda: kernels.tsg_stale_rows(
-                np.zeros((4, 3)), np.zeros((4, 3), dtype=bool)
+            "stale-nonsquare-corr": lambda: kernels.tsg_certify(
+                np.zeros((4, 3)), picks
             ),
-            "stale-members-shape": lambda: kernels.tsg_stale_rows(
-                corr, np.zeros((4, 3), dtype=bool)
+            "stale-members-shape": lambda: kernels.tsg_certify(corr, picks[:3]),
+            "stale-pick-out-of-range": lambda: kernels.tsg_certify(
+                corr, np.where(picks == 2, 4, picks)
             ),
-            "assemble-nonsquare-corr": lambda: kernels.tsg_assemble(
-                np.zeros(16), np.zeros(16, dtype=bool), 2, 0.5
+            "assemble-nonsquare-corr": lambda: kernels.tsg_csr(
+                np.zeros(16), picks, 0.5
             ),
-            "assemble-members-shape": lambda: kernels.tsg_assemble(
-                corr, np.zeros((5, 5), dtype=bool), 2, 0.5
+            "assemble-members-shape": lambda: kernels.tsg_csr(
+                corr, picks.ravel(), 0.5
+            ),
+            "assemble-k-not-below-n": lambda: kernels.tsg_csr(
+                corr, np.tile(np.arange(4), (4, 1)), 0.5
+            ),
+            "assemble-negative-pick": lambda: kernels.tsg_csr(
+                corr, np.where(picks == 2, -1, picks), 0.5
             ),
             "corr-cross-shape": lambda: kernels.corr_from_sums(
                 np.zeros(4), np.zeros((4, 3)), 10
@@ -538,7 +556,7 @@ class TestNativeKernels:
                 np.zeros((2, 2)), np.zeros((4, 4)), 10
             ),
         }
-        with pytest.raises(ValueError, match="shape|square"):
+        with pytest.raises(ValueError, match="shape|square|lie in"):
             calls[call]()
 
     @needs_compiler
@@ -564,6 +582,60 @@ class TestNativeKernels:
         name = _native.cache_name(edited.read_bytes(), _native.compiler_command())
         assert libraries == [name]
         assert in_flight.exists()
+
+    @needs_compiler
+    def test_baseline_clone_is_bitwise_the_loaded_library(self, tmp_path):
+        # On an AVX2 host the loaded library runs the avx2 clones; a second
+        # build with the clones off runs the baseline code the dynamic
+        # loader picks elsewhere.  Both must return the same bits.
+        loaded = self.kernels()
+        target = tmp_path / "baseline.so"
+        subprocess.run(
+            [
+                *_native.compiler_command(),
+                *_native.FLAGS,
+                "-DREPRO_NO_TARGET_CLONES",
+                "-o",
+                str(target),
+                str(_native.SOURCE),
+                *_native.LIBS,
+            ],
+            check=True,
+            capture_output=True,
+        )
+        baseline = _native.Kernels(ctypes.CDLL(str(target)))
+        rng = np.random.default_rng(28)
+        for case in range(60):
+            # Odd sizes leave scalar tails after every vector width.
+            n = int(rng.integers(2, 70))
+            k = int(rng.integers(1, n))
+            window = int(rng.integers(2, 300))
+            values = rng.standard_normal((n, window)) * rng.choice([1e-9, 1.0, 1e6])
+            values[: case % 3] = 4.0  # zero-variance sensors
+            shifted = values - rng.standard_normal(n)[:, None]
+            sums, cross = shifted.sum(axis=1), shifted @ shifted.T
+            corrs = [
+                loaded.corr_from_sums(sums, cross, window),
+                baseline.corr_from_sums(sums, cross, window),
+            ]
+            assert np.array_equal(corrs[0].view(np.uint64), corrs[1].view(np.uint64))
+            corr = np.round(corrs[0], int(rng.integers(1, 4)))  # boundary ties
+            if case % 4 == 0:
+                corr[rng.integers(0, n), :] = np.nan
+            # Each row's top k (certified unless tied or NaN), some re-drawn.
+            strength = np.where(np.eye(n, dtype=bool), np.inf, -np.abs(corr))
+            picks = np.argpartition(strength, k - 1, axis=1)[:, :k]
+            for i in np.flatnonzero(rng.random(n) < 0.3):
+                picks[i] = rng.choice(np.delete(np.arange(n), i), k, replace=False)
+            assert np.array_equal(
+                loaded.tsg_certify(corr, picks), baseline.tsg_certify(corr, picks)
+            )
+            tau = float(rng.choice([0.0, 0.3, 1.0]))
+            for got, expected in zip(
+                loaded.tsg_csr(corr, picks, tau), baseline.tsg_csr(corr, picks, tau)
+            ):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestEngineEquivalence:
