@@ -117,7 +117,7 @@ def run_mode(
             ]
         elapsed_ms = (time.perf_counter() - start) * 1000.0 / rounds
         best_ms = min(best_ms, elapsed_ms)
-        labels = [stage.labels for stage in stages]
+        labels = [tuple(stage.labels.tolist()) for stage in stages]
         chunks = 0 if pool is None else pool.tasks_submitted - submitted
     return best_ms, labels, chunks
 

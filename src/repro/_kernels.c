@@ -133,6 +133,20 @@ int repro_corr_from_sums(int64_t n, double window, const double *sums,
  * --------------------------------------------------------------------- */
 
 /*
+ * 1 for a double 1.0, 0 for 0.0, read from the bits.  A count of compare
+ * results taken this way stays in 64-bit lanes, the width of the compared
+ * doubles, so gcc vectorises the certificate's row scan with the baseline
+ * x86-64 ISA (SSE2) too; counting the compare's int directly, it gives up
+ * there ("no vectype") and vectorises only the AVX2 clone.
+ */
+static inline int64_t lane_flag(double flag)
+{
+    uint64_t bits;
+    memcpy(&bits, &flag, sizeof bits);
+    return (int64_t)(bits >> 52 & 1);
+}
+
+/*
  * Separation certificate of every row of picks against corr: a row is
  * certified when it holds no NaN strength and its weakest pick is strictly
  * stronger than its strongest non-pick.  With weakest = the weakest pick's
@@ -171,8 +185,8 @@ int64_t repro_tsg_certify(int64_t n, int64_t k, const double *corr,
         int64_t ordered = 0;
         for (int64_t j = 0; j < n; j++) {
             double s = fabs(row[j]);
-            at_least += s >= weakest;
-            ordered += s == s;
+            at_least += lane_flag(s >= weakest ? 1.0 : 0.0);
+            ordered += lane_flag(s == s ? 1.0 : 0.0);
         }
         /* The diagonal takes part in neither count. */
         double diagonal = fabs(row[i]);

@@ -20,6 +20,11 @@ from typing import Any
 import numpy as np
 
 
+#: Largest pair-key span, per vertex, that ``coappearance_counts`` counts
+#: with a dense ``bincount`` table instead of sorting.
+_BINCOUNT_SPAN = 16
+
+
 def coappearance_counts(previous_labels: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Vector of ``S_r(v)``: partners sharing v's community in both rounds.
 
@@ -27,7 +32,10 @@ def coappearance_counts(previous_labels: np.ndarray, labels: np.ndarray) -> np.n
     and ``labels[v] == labels[u]``.  Equivalently, group vertices by the
     *pair* (previous community, current community); every vertex co-appears
     with the other members of its pair-group.  That grouping makes the whole
-    computation O(n) instead of O(n^2).
+    computation O(n) instead of O(n^2): one ``bincount`` over the pair keys
+    when they span at most a few times ``n`` values (stage A's compact
+    community ids, unless nearly every vertex is a singleton in both
+    rounds), a sort (``np.unique``) otherwise, which bounds the memory.
     """
     previous_labels = np.asarray(previous_labels)
     labels = np.asarray(labels)
@@ -37,8 +45,10 @@ def coappearance_counts(previous_labels: np.ndarray, labels: np.ndarray) -> np.n
     # Encode the (previous, current) pair as a single key.
     n_current = int(labels.max()) + 1 if labels.size else 0
     keys = previous_labels.astype(np.int64) * max(n_current, 1) + labels.astype(np.int64)
+    if keys.size and keys.min() >= 0 and keys.max() < _BINCOUNT_SPAN * keys.size:
+        return np.bincount(keys)[keys] - 1  # exclude the vertex itself
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return counts[inverse] - 1  # exclude the vertex itself
+    return counts[inverse] - 1
 
 
 class CoAppearanceTracker:

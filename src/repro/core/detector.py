@@ -97,7 +97,7 @@ class CAD:
         from a parallel worker) and advances the sequential state.
         """
         quality = stage.quality
-        update = self._tracker.update(np.array(stage.labels), stage.valid_array())
+        update = self._tracker.update(stage.labels, stage.valid)
 
         if update is None:
             outliers: frozenset[int] = frozenset()

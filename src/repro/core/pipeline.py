@@ -60,24 +60,20 @@ NON_FINITE_WINDOW = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundCommunity:
     """Stage-A output of one round: the community structure of the TSG.
 
     Picklable and engine-agnostic, so parallel workers can ship it back to
-    the main process where stage B consumes it.
+    the main process where stage B consumes it.  ``labels`` (int64, one
+    community id per sensor) and ``valid`` (bool, or None when every
+    sensor is valid) are the arrays the co-appearance tracker takes.
     """
 
-    labels: tuple[int, ...]
+    labels: np.ndarray
     n_communities: int
     quality: DataQuality | None
-    valid: tuple[bool, ...] | None
-
-    def valid_array(self) -> np.ndarray | None:
-        """The validity mask as the bool array the tracker expects."""
-        if self.valid is None:
-            return None
-        return np.asarray(self.valid, dtype=bool)
+    valid: np.ndarray | None
 
 
 def degrade_window(
@@ -150,8 +146,17 @@ class CommunityPipeline:
         valid: np.ndarray | None = None
         if self.config.allow_missing:
             window_values, quality, valid = degrade_window(window_values, self.config)
-        elif not np.isfinite(window_values).all():
-            raise ValueError(NON_FINITE_WINDOW)
+        else:
+            # Only the columns no clean earlier window of this kernel
+            # covered: the last step on consecutive views of one array,
+            # the whole window otherwise (and always on the reference engine).
+            unseen = (
+                window_values
+                if self._kernel is None
+                else self._kernel.unseen_columns(window_values)
+            )
+            if not np.isfinite(unseen).all():
+                raise ValueError(NON_FINITE_WINDOW)
 
         if self._kernel is not None:
             # Finiteness is already settled here (strict mode raised above;
@@ -162,15 +167,12 @@ class CommunityPipeline:
         else:
             labels, n_communities = self._reference_stage(window_values)
         return RoundCommunity(
-            labels=labels,
-            n_communities=n_communities,
-            quality=quality,
-            valid=None if valid is None else tuple(bool(v) for v in valid),
+            labels=labels, n_communities=n_communities, quality=quality, valid=valid
         )
 
     def _fast_stage(
         self, window_values: np.ndarray, finite: bool
-    ) -> tuple[tuple[int, ...], int]:
+    ) -> tuple[np.ndarray, int]:
         assert self._kernel is not None and self._builder is not None
         # Anchor status must be read before update() advances the counter.
         anchor = self._kernel.next_update_is_anchor
@@ -183,9 +185,9 @@ class CommunityPipeline:
             labels = louvain_labels_csr(tsg)
         else:
             labels = label_propagation_labels_csr(tsg)
-        return tuple(labels.tolist()), int(labels.max()) + 1
+        return labels, int(labels.max()) + 1
 
-    def _reference_stage(self, window_values: np.ndarray) -> tuple[tuple[int, ...], int]:
+    def _reference_stage(self, window_values: np.ndarray) -> tuple[np.ndarray, int]:
         # The seed pipeline verbatim: full Pearson matrix, per-edge dict
         # graph construction, dict community detection.  build_tsg itself
         # now routes through the vectorised edge selection, so the seed
@@ -201,7 +203,7 @@ class CommunityPipeline:
             else label_propagation
         )
         partition = detect_communities(absolute_weight_graph(tsg))
-        return partition.labels, partition.n_communities
+        return np.array(partition.labels, dtype=np.int64), partition.n_communities
 
     def reset(self) -> None:
         """Forget kernel/TSG state; the next round behaves like round 0."""

@@ -4,8 +4,14 @@
 one CAD round every time a full new window materialises — i.e. after the
 first ``window`` samples and then after every further ``step`` samples.
 Because CAD's statistics (``mu``, ``sigma``, co-appearance history) are
-maintained incrementally, the stream can run forever: each round costs
-O(n log n) regardless of how much history has gone by.
+maintained incrementally, the stream can run forever: a round's cost does
+not grow with the history that has gone by.  On the fast engine stage A
+(correlation, TSG, communities) costs O(n^2 * step) per round, plus an
+O(n^2 * window) exact refresh every ``corr_refresh`` rounds; every other
+per-round pass costs O(n * step) at most: each sample is validated once on
+entry, the strict finiteness check of a window covers only its ``step``
+new columns (see ``RollingCorrelation.unseen_columns``), and stage B is
+O(n) array work.
 
 Samples live in one *mirrored ring* of capacity ``C = window + step``:
 sample ``i`` is written to columns ``i % C`` and ``i % C + C``, so the last
@@ -187,7 +193,10 @@ class StreamingCAD:
             raise ValueError(
                 f"expected sample of {self._n_sensors} readings, got {sample.shape}"
             )
-        self._validate_sample(sample)
+        # One pass clears a finite sample; only one that fails it goes
+        # through the validator, for its exact error (or to admit NaN).
+        if not np.isfinite(sample).all():
+            self._validate_sample(sample)
         return sample
 
     def _require_round_boundary(self, caller: str) -> None:

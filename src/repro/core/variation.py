@@ -21,7 +21,7 @@ def outlier_set(rc: np.ndarray, theta: float) -> frozenset[int]:
         raise ValueError("rc must be a 1-D vector")
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
-    return frozenset(int(v) for v in np.flatnonzero(rc < theta))
+    return frozenset(np.flatnonzero(rc < theta).tolist())
 
 
 def transition_set(previous: frozenset[int], current: frozenset[int]) -> frozenset[int]:

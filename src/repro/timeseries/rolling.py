@@ -26,7 +26,11 @@ Numerical safety:
 * If a window does not actually overlap the previous one as promised
   (``prev[:, step:] != window[:, :w - step]``), the kernel notices and
   refreshes exactly, so arbitrary ``update`` calls are always correct —
-  just slower than the steady-state incremental path.
+  just slower than the steady-state incremental path.  When the overlap is
+  the *same memory* (consecutive views of one array), the check is an
+  identity test, and :meth:`RollingCorrelation.unseen_columns` tells a
+  caller that only the last ``step`` columns are new, so a strict
+  finiteness check can skip the columns a clean previous window covered.
 
 Turning the running sums into a correlation matrix is an O(n^2) chain of
 outer product, scaling, clip and pinning passes.  :func:`corr_from_sums`
@@ -76,6 +80,7 @@ class RollingCorrelation:
         "_prev",
         "_round",
         "_dirty",
+        "_sign",
     )
 
     def __init__(
@@ -105,6 +110,8 @@ class RollingCorrelation:
         self._prev: np.ndarray | None = None
         self._round = 0
         self._dirty = False
+        # Signs of the rank-2s update's left factor: +added, -evicted.
+        self._sign = np.repeat([1.0, -1.0], step)
 
     @property
     def rounds_seen(self) -> int:
@@ -151,6 +158,20 @@ class RollingCorrelation:
         if round_index < 0:
             raise ValueError(f"round index must be >= 0, got {round_index}")
         self._round = int(round_index)
+
+    def unseen_columns(self, window: np.ndarray) -> np.ndarray:
+        """The columns of ``window`` no clean previous window covered.
+
+        ``window[:, w - step:]`` when the head of ``window`` is the same
+        memory as the tail of the previous (clean) window this kernel
+        advanced over; otherwise the whole window.  A strict caller that
+        checked every earlier window can then check only these columns,
+        as long as nobody writes into a window after passing it in (the
+        kernel already requires that).
+        """
+        if self._dirty or not self._follows(window):
+            return window
+        return window[:, self.window - self.step :]
 
     def update(self, window: np.ndarray, *, assume_finite: bool = False) -> np.ndarray:
         """Correlation matrix of ``window``, advanced incrementally.
@@ -202,15 +223,23 @@ class RollingCorrelation:
         # A dirty flag covers every non-finite previous window, so a clean
         # (not dirty) prev is finite by construction — no per-round
         # isfinite sweep needed here.
-        shared = self.window - self.step
-        prev_tail = self._prev[:, self.step :]
-        head = window[:, :shared]
-        if self._same_memory(prev_tail, head):
-            # Consecutive windows sliced from one base array: the overlap
-            # comparison would compare a memory region with itself, so the
-            # O(n*w) check collapses to this O(1) identity test.
+        if self._follows(window):
             return False
-        return not np.array_equal(prev_tail, head)
+        return not np.array_equal(
+            self._prev[:, self.step :], window[:, : self.window - self.step]
+        )
+
+    def _follows(self, window: np.ndarray) -> bool:
+        """Whether ``window``'s head is the same memory as ``_prev``'s tail.
+
+        Consecutive windows sliced from one base array: the overlap
+        comparison would compare a memory region with itself, so the O(n*w)
+        check collapses to this O(1) identity test.
+        """
+        if self._prev is None or self.step >= self.window:
+            return False
+        shared = self.window - self.step
+        return self._same_memory(self._prev[:, self.step :], window[:, :shared])
 
     @staticmethod
     def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
@@ -256,16 +285,14 @@ class RollingCorrelation:
         # One rank-2s GEMM instead of two rank-s ones: stack the added and
         # evicted columns, negate the evicted side of the left factor, and
         # the product is added@added.T - evicted@evicted.T in a single pass.
-        right = np.empty((self.n_sensors, 2 * step))
-        right[:, :step] = window[:, self.window - step :]
-        right[:, :step] -= self._baseline[:, None]
-        right[:, step:] = self._prev[:, :step]
-        right[:, step:] -= self._baseline[:, None]
-        left = right.copy()
-        left[:, step:] *= -1.0
-        self._sums += right[:, :step].sum(axis=1)
-        self._sums -= right[:, step:].sum(axis=1)
-        self._cross += left @ right.T
+        right = np.concatenate(
+            (window[:, self.window - step :], self._prev[:, :step]), axis=1
+        )
+        right -= self._baseline[:, None]
+        added, evicted = right.reshape(self.n_sensors, 2, step).sum(axis=2).T
+        self._sums += added
+        self._sums -= evicted
+        self._cross += (right * self._sign) @ right.T
         return self._corr_from_sums()
 
     def _corr_from_sums(self) -> np.ndarray:

@@ -45,6 +45,27 @@ class TestCoappearanceCounts:
             coappearance_counts(previous, current_b),
         )
 
+    @pytest.mark.parametrize(
+        "previous, current",
+        [
+            ([0, 1, 1, 2], [0, 10**12, 10**12, 5]),  # a pair-key span of ~10**12
+            ([-1, -1, 3, 3], [0, 0, 0, 1]),  # negative ids
+            (list(range(64)), list(range(64))),  # all singletons: a span of n**2
+        ],
+    )
+    def test_sparse_or_negative_ids_stay_exact_without_a_dense_table(
+        self, previous, current, monkeypatch
+    ):
+        bincount = np.bincount
+
+        def bounded_bincount(keys, *args, **kwargs):
+            assert keys.max() < 16 * keys.size, "dense table over 16n"
+            return bincount(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", bounded_bincount)
+        counts = coappearance_counts(np.array(previous), np.array(current))
+        np.testing.assert_array_equal(counts, brute_force_counts(previous, current))
+
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

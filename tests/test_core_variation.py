@@ -19,6 +19,18 @@ class TestOutlierSet:
     def test_empty(self):
         assert outlier_set(np.array([0.9, 0.8]), 0.1) == frozenset()
 
+    @pytest.mark.parametrize(
+        "theta, expected",
+        [(0.0, set()), (1.0, {0, 1, 2}), (0.5, {0, 1})],
+    )
+    def test_theta_boundaries(self, theta, expected):
+        # RC lies in [0, 1]: theta 0 flags nothing (not even RC 0), theta 1
+        # flags everything below 1, and RC equal to theta is never flagged.
+        rc = np.array([0.0, 0.25, 0.5, 1.0])
+        outliers = outlier_set(rc, theta)
+        assert outliers == frozenset(expected)
+        assert all(type(v) is int for v in outliers)
+
     def test_invalid_theta(self):
         with pytest.raises(ValueError):
             outlier_set(np.array([0.5]), 1.5)

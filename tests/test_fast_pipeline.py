@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import CAD, CADConfig, build_tsg
+from repro.core import CAD, CADConfig, CommunityPipeline, build_tsg
+from repro.core.pipeline import NON_FINITE_WINDOW
 from repro.graph import (
     CSRGraph,
     Graph,
@@ -162,6 +163,226 @@ class TestRollingCorrelation:
         kernel = RollingCorrelation(3, 10, 2)
         with pytest.raises(ValueError, match="shape"):
             kernel.update(np.zeros((3, 11)))
+
+
+def spec_advance(kernel, window):
+    """The rank-2s update as numpy staged it one slice at a time, on copies.
+
+    Returns ``(sums, cross, corr)`` for ``kernel.update(window)`` on a
+    non-anchor round whose window extends the previous one: each half of
+    the factor copied and shifted on its own, the left factor an explicit
+    copy with its evicted half negated, then :func:`corr_from_sums`.
+    """
+    step, w = kernel.step, kernel.window
+    baseline = kernel._baseline
+    sums, cross = kernel._sums.copy(), kernel._cross.copy()
+    right = np.empty((kernel.n_sensors, 2 * step))
+    right[:, :step] = window[:, w - step :]
+    right[:, :step] -= baseline[:, None]
+    right[:, step:] = kernel._prev[:, :step]
+    right[:, step:] -= baseline[:, None]
+    left = right.copy()
+    left[:, step:] *= -1.0
+    sums += right[:, :step].sum(axis=1)
+    sums -= right[:, step:].sum(axis=1)
+    cross += left @ right.T
+    return sums, cross, corr_from_sums(sums, cross, w)
+
+
+def bitwise_equal(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestRollingUpdateBitwise:
+    """The one-pass rolling update keeps the float state of the old chain."""
+
+    @pytest.mark.parametrize("engine", ["compiled", "fallback"])
+    @settings(max_examples=25, deadline=None)
+    @example(seed=0, n=2, window=3, step=1, refresh=64, scale=1.0)
+    @example(seed=1, n=17, window=40, step=39, refresh=4, scale=1e6)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 24),
+        window=st.integers(3, 80),
+        step=st.integers(1, 12),
+        refresh=st.sampled_from([2, 7, 64]),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_advance_is_bitwise_the_numpy_chain(
+        self, engine, seed, n, window, step, refresh, scale
+    ):
+        step = min(step, window - 1)
+        rng = np.random.default_rng(seed)
+        # A drifting stream far from zero with a flat-lined sensor: the
+        # baseline goes stale between anchors, so the shifted sums grow.
+        length = window + 30 * step
+        drift = np.linspace(0.0, rng.uniform(0.0, 50.0), length)
+        values = scale * (np.cumsum(rng.normal(size=(n, length)), axis=1) + drift + 1e3)
+        values[n // 2] = 7.25
+        kernel = RollingCorrelation(n, window, step, refresh_every=refresh)
+        advanced = 0
+        with pytest.MonkeyPatch.context() as patch:
+            if engine == "fallback":
+                patch.setattr("repro.timeseries.rolling.load_kernels", lambda: None)
+            elif _native.load_kernels() is None:
+                pytest.skip("the kernels could not be compiled here")
+            for win in stream_windows(values, window, step):
+                spec = None
+                if kernel.rounds_seen and not kernel.next_update_is_anchor:
+                    spec = spec_advance(kernel, win)
+                corr = kernel.update(win, assume_finite=True)
+                if spec is not None:
+                    advanced += 1
+                    for got, expected in zip((kernel._sums, kernel._cross, corr), spec):
+                        assert bitwise_equal(got, expected)
+        assert advanced > 0
+
+
+class TestIncrementalStrictCheck:
+    """A strict round checks only the columns no clean earlier window had."""
+
+    N, WINDOW, STEP = 6, 24, 4
+
+    def pipeline(self, engine="fast", allow_missing=False):
+        config = CADConfig(
+            window=self.WINDOW,
+            step=self.STEP,
+            k=2,
+            engine=engine,
+            allow_missing=allow_missing,
+            corr_refresh=8,
+        )
+        return CommunityPipeline(config, self.N)
+
+    def views(self, values, count):
+        return [
+            values[:, r * self.STEP : r * self.STEP + self.WINDOW] for r in range(count)
+        ]
+
+    def values(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return np.cumsum(rng.normal(size=(self.N, self.WINDOW + 20 * self.STEP)), axis=1)
+
+    def test_consecutive_views_check_only_the_new_step(self):
+        values = self.values()
+        pipeline = self.pipeline()
+        windows = self.views(values, 6)
+        assert pipeline.kernel.unseen_columns(windows[0]) is windows[0]
+        for previous, window in zip(windows, windows[1:]):
+            pipeline.process(previous)
+            unseen = pipeline.kernel.unseen_columns(window)
+            assert unseen.shape == (self.N, self.STEP)
+            assert np.shares_memory(unseen, values[:, previous.shape[1] :])
+            assert np.array_equal(unseen, window[:, -self.STEP :])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, STEP - 1])
+    def test_non_finite_in_the_new_columns_raises(self, bad, column):
+        values = self.values()
+        pipeline = self.pipeline()
+        windows = self.views(values, 5)
+        for window in windows[:4]:
+            pipeline.process(window)
+        values[2, 4 * self.STEP + self.WINDOW - self.STEP + column] = bad
+        with pytest.raises(ValueError) as excinfo:
+            pipeline.process(windows[4])
+        assert str(excinfo.value) == NON_FINITE_WINDOW
+
+    @pytest.mark.parametrize("kind", ["unrelated-array", "equal-valued-copy"])
+    def test_windows_not_sharing_memory_are_swept_whole(self, kind):
+        values = self.values()
+        pipeline = self.pipeline()
+        windows = self.views(values, 5)
+        for window in windows[:4]:
+            pipeline.process(window)
+        if kind == "unrelated-array":
+            window = self.values(seed=1)[:, : self.WINDOW].copy()
+        else:
+            window = windows[4].copy()  # same values, different memory
+        window[1, 0] = np.nan  # an old column, one a clean window covered
+        assert pipeline.kernel.unseen_columns(window) is window
+        with pytest.raises(ValueError, match="non-finite"):
+            pipeline.process(window)
+
+    @pytest.mark.parametrize("refusal", ["poisoned-copy", "poisoned-view"])
+    def test_refused_window_leaves_the_kernel_untouched(self, refusal, monkeypatch):
+        values = self.values()
+        corrs = []
+        original = RollingCorrelation.update
+
+        def recording(kernel, window, **kwargs):
+            corr = original(kernel, window, **kwargs)
+            corrs.append(corr)
+            return corr
+
+        monkeypatch.setattr(RollingCorrelation, "update", recording)
+        clean = self.pipeline()
+        expected = [clean.process(w).labels for w in self.views(values, 10)]
+        expected_corrs, corrs[:] = list(corrs), []
+
+        pipeline = self.pipeline()
+        windows = self.views(values, 10)
+        got = [pipeline.process(w).labels for w in windows[:6]]
+        bad_column = 6 * self.STEP + self.WINDOW - 1
+        if refusal == "poisoned-copy":
+            poisoned = windows[6].copy()
+            poisoned[3, -1] = np.nan
+        else:
+            saved = values[3, bad_column]
+            values[3, bad_column] = np.inf
+            poisoned = windows[6]
+        with pytest.raises(ValueError, match="non-finite"):
+            pipeline.process(poisoned)
+        if refusal == "poisoned-view":
+            values[3, bad_column] = saved
+        got += [pipeline.process(w).labels for w in windows[6:]]
+        assert len(corrs) == len(expected_corrs)
+        for corr, expected_corr in zip(corrs, expected_corrs):
+            assert bitwise_equal(corr, expected_corr)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_without_a_clean_same_memory_predecessor_every_column_is_unseen(self):
+        values = self.values()
+        windows = self.views(values, 3)
+        kernel = RollingCorrelation(self.N, self.WINDOW, self.STEP)
+        assert kernel.unseen_columns(windows[0]) is windows[0]  # fresh kernel
+        kernel.update(windows[0])
+        assert kernel.unseen_columns(windows[1]).shape[1] == self.STEP
+        kernel.update(windows[1])
+        # The same window again does not extend the stream.
+        assert kernel.unseen_columns(windows[1]) is windows[1]
+        # A restored kernel holds a copy of its previous window.
+        resumed = RollingCorrelation.from_state(kernel.to_state())
+        assert resumed.unseen_columns(windows[2]) is windows[2]
+        kernel.reset()
+        assert kernel.unseen_columns(windows[2]) is windows[2]
+        # A non-finite window takes the masked path and leaves the kernel dirty.
+        poisoned = values.copy()
+        poisoned[0, 3] = np.nan
+        degraded = self.views(poisoned, 2)
+        kernel.update(degraded[0])
+        assert kernel.unseen_columns(degraded[1]) is degraded[1]
+        # step == window: consecutive windows share no column.
+        disjoint = RollingCorrelation(self.N, self.WINDOW, self.WINDOW)
+        disjoint.update(values[:, : self.WINDOW])
+        following = values[:, self.WINDOW : 2 * self.WINDOW]
+        assert disjoint.unseen_columns(following) is following
+
+    def test_reference_engine_and_allow_missing_check_every_column(self):
+        values = self.values()
+        windows = self.views(values, 5)
+        reference = self.pipeline(engine="reference")
+        degraded = self.pipeline(allow_missing=True)
+        for window in windows[:4]:
+            reference.process(window)
+            assert degraded.process(window).quality.missing_fraction == 0.0
+        # A NaN written into an old column after it was scored: only a whole
+        # window sweep sees it, and these two modes always sweep.
+        values[0, 4 * self.STEP] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            reference.process(windows[4])
+        quality = degraded.process(windows[4]).quality
+        assert quality.missing_fraction == pytest.approx(1 / (self.N * self.WINDOW))
 
 
 def random_knn_corr(rng, n):

@@ -139,6 +139,17 @@ class TestDetectorDoorValidation:
         degraded = StreamingCAD(CADConfig(window=48, step=8, allow_missing=True), 4)
         degraded.push(sample)  # NaN is data in degraded mode
 
+    @pytest.mark.parametrize("allow_missing", [False, True])
+    def test_inf_is_reported_before_an_earlier_nan(self, allow_missing):
+        config = CADConfig(window=48, step=8, allow_missing=allow_missing)
+        stream = StreamingCAD(config, 5)
+        sample = np.array([0.0, np.nan, 1.0, -np.inf, np.nan])
+        with pytest.raises(InvalidSampleError) as excinfo:
+            stream.push(sample)
+        assert excinfo.value.index == 3
+        assert "inf" in str(excinfo.value)
+        assert stream.samples_seen == 0
+
     def test_invalid_sample_error_is_a_value_error(self):
         assert issubclass(InvalidSampleError, ValueError)
 

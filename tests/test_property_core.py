@@ -1,5 +1,7 @@
 """Property-based tests for core data structures and algorithms."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,66 @@ def test_coappearance_symmetric_and_bounded(pair):
     # Co-appearance is symmetric: summing the indicator over ordered pairs
     # gives an even total.
     assert counts.sum() % 2 == 0
+
+
+def spec_coappearance_counts(previous_labels, labels):
+    """The pair-key grouping by sorting (np.unique), the original formula."""
+    n_current = int(labels.max()) + 1 if labels.size else 0
+    keys = previous_labels.astype(np.int64) * max(n_current, 1) + labels.astype(np.int64)
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return counts[inverse] - 1
+
+
+def label_vectors(n):
+    """Community labels of n vertices: compact, with id gaps, a single
+    community or all singletons."""
+    compact = arrays(np.int64, n, elements=st.integers(0, 4))
+    return st.one_of(
+        compact,
+        compact.map(lambda labels: labels * 3 + 1),  # ids with gaps
+        compact.map(lambda labels: labels * 97 + 3),  # past the bincount span
+        st.just(np.zeros(n, dtype=np.int64)),
+        st.permutations(list(range(n))).map(lambda p: np.array(p, dtype=np.int64)),
+    )
+
+
+@given(st.integers(1, 80).flatmap(lambda n: st.tuples(label_vectors(n), label_vectors(n))))
+@settings(max_examples=150, deadline=None)
+def test_coappearance_counts_match_the_sorting_spec(pair):
+    previous, current = pair
+    got = coappearance_counts(previous, current)
+    expected = spec_coappearance_counts(previous, current)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
+@given(
+    st.integers(2, 40).flatmap(
+        lambda n: st.lists(
+            st.tuples(label_vectors(n), arrays(bool, n, elements=st.booleans())),
+            min_size=2,
+            max_size=6,
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_tracker_with_ghosted_sensors_matches_the_sorting_spec(rounds):
+    # Invalid sensors are ghosted along with their previous community before
+    # the counts are taken; the tracker must give the same S_r and RC as one
+    # counting with the spec.
+    n = rounds[0][0].size
+    tracker, spec = CoAppearanceTracker(n), CoAppearanceTracker(n)
+    for labels, valid in rounds:
+        got = tracker.update(labels, valid)
+        with mock.patch(
+            "repro.core.coappearance.coappearance_counts", spec_coappearance_counts
+        ):
+            expected = spec.update(labels, valid)
+        if expected is None:
+            assert got is None
+            continue
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @given(partition_pairs)
