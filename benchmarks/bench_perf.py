@@ -16,8 +16,8 @@ communities) across three modes over a grid of sensor counts:
 ``fast``
     ``engine="fast"``, one process — rolling-correlation kernel,
     round-over-round TSG maintenance (cached top-k candidate sets with a
-    separation certificate, patched CSR assembly, anchored full re-ranks;
-    DESIGN.md §10), array-backed Louvain.
+    separation certificate on every clean round, anchors included,
+    patched CSR assembly; DESIGN.md §10), array-backed Louvain.
 ``parallel``
     ``engine="fast"`` fanned over the persistent 2-worker pool
     (:func:`repro.core.parallel.iter_round_communities`): refresh-aligned
@@ -152,13 +152,14 @@ def profile_mode(
         if mode == "seed":
             corr = pearson_matrix(round_windows)
         else:
-            anchor = kernel.next_update_is_anchor
             corr = kernel.update(round_windows, assume_finite=True)
         t1 = time.perf_counter()
         if mode == "seed":
             tsg_dict = prune_weak_edges(knn_graph(corr, k), config.tau)
         else:
-            tsg = builder.build(corr, full=anchor)
+            # CommunityPipeline._fast_stage's rule on a clean window:
+            # anchors take the certificate like any other round.
+            tsg = builder.build(corr)
         t2 = time.perf_counter()
         if mode == "seed":
             labels_arr = np.array(louvain(absolute_weight_graph(tsg_dict)).labels)

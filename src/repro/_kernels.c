@@ -1,7 +1,11 @@
 /*
- * The fast engine's compiled kernels, one library for every O(n^2) pass of
- * a round (loaded by repro._native):
+ * The fast engine's compiled kernels, one library for the per-round passes
+ * numpy and dict code would run (loaded by repro._native):
  *
+ *   repro_refresh_unit     the rolling correlation's exact refresh up to
+ *                          its Gram product: centred, normalised rows;
+ *   repro_refresh_finish   the refresh after the Gram product: the
+ *                          Pearson matrix and the cross-product matrix;
  *   repro_corr_from_sums   the rolling correlation's normalisation of its
  *                          running sums into a Pearson matrix;
  *   repro_tsg_certify      the delta TSG builder's separation certificate;
@@ -25,11 +29,12 @@ enum {
 };
 
 /*
- * The O(n^2) row scans are element-wise or integer reductions, so a wider
- * vector unit returns the same bits.  On x86-64 ELF targets whose compiler
- * has target_clones they are compiled twice, for AVX2 and for the baseline
- * ISA, and the dynamic loader picks the clone the host runs; the library is
- * never built for one host's -march, so a cached copy can be shared.
+ * The row scans are element-wise, integer reductions or the eight
+ * independent lanes of numpy's pairwise sum, so a wider vector unit returns
+ * the same bits.  On x86-64 ELF targets whose compiler has target_clones
+ * they are compiled twice, for AVX2 and for the baseline ISA, and the
+ * dynamic loader picks the clone the host runs; the library is never built
+ * for one host's -march, so a cached copy can be shared.
  * Define REPRO_NO_TARGET_CLONES to build the baseline code alone.
  */
 #if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute) \
@@ -43,8 +48,167 @@ enum {
 #endif
 
 /* ------------------------------------------------------------------------
+ * numpy's pairwise summation
+ *
+ * The order in which numpy reduces a float64 row whose elements are
+ * adjacent in memory: blocks of up to 128 elements are summed in eight
+ * interleaved lanes, longer runs split in two at a multiple of eight.  The
+ * eight lanes are independent sums, so a vector unit returns the same bits.
+ * numpy's add.reduce starts from its identity, so a caller matching
+ * ndarray.sum adds the result to 0.0 (which turns -0.0 into +0.0).
+ * --------------------------------------------------------------------- */
+
+#define DEFINE_PAIRWISE_SUM(name, TERM)                                     \
+    static double name(const double *a, int64_t n)                          \
+    {                                                                       \
+        if (n < 8) {                                                        \
+            double res = 0.;                                                \
+            for (int64_t i = 0; i < n; i++) {                               \
+                res += TERM(a[i]);                                          \
+            }                                                               \
+            return res;                                                     \
+        }                                                                   \
+        if (n <= 128) {                                                     \
+            double r[8];                                                    \
+            int64_t i;                                                      \
+            for (int j = 0; j < 8; j++) {                                   \
+                r[j] = TERM(a[j]);                                          \
+            }                                                               \
+            for (i = 8; i < n - (n % 8); i += 8) {                          \
+                for (int j = 0; j < 8; j++) {                               \
+                    r[j] += TERM(a[i + j]);                                 \
+                }                                                           \
+            }                                                               \
+            double res = ((r[0] + r[1]) + (r[2] + r[3]))                    \
+                         + ((r[4] + r[5]) + (r[6] + r[7]));                 \
+            for (; i < n; i++) {                                            \
+                res += TERM(a[i]);                                          \
+            }                                                               \
+            return res;                                                     \
+        }                                                                   \
+        int64_t n2 = n / 2;                                                 \
+        n2 -= n2 % 8;                                                       \
+        return name(a, n2) + name(a + n2, n - n2);                          \
+    }
+
+#define TERM_VALUE(x) (x)
+#define TERM_SQUARE(x) ((x) * (x))
+
+/* numpy's pairwise sum of a[0..n). */
+DEFINE_PAIRWISE_SUM(pairwise_sum, TERM_VALUE)
+
+/* The same sum of a[i] * a[i], i.e. of the array numpy's a * a makes:
+ * each square is rounded before it is added (no fused multiply-add). */
+DEFINE_PAIRWISE_SUM(pairwise_sum_squares, TERM_SQUARE)
+
+/* ------------------------------------------------------------------------
  * Rolling correlation
  * --------------------------------------------------------------------- */
+
+/*
+ * Constant sensors leave a Pearson matrix with 0 in their rows and columns,
+ * the diagonal included.  The kernels below apply that rule per row, after
+ * the row's clip and diagonal pin: a constant row is written as zeros, and
+ * each other row gets 0 in the constant columns, listed ascending in
+ * constant[0..n_constant).  Without constant sensors the row loops carry no
+ * per-element test, and with them no pass writes a column with stride n.
+ */
+
+/*
+ * The exact refresh of repro.timeseries.rolling.refresh_from_window up to
+ * its Gram product, row by row, in that function's order:
+ *
+ *   baseline = (0 + pairwise_sum(x)) / w
+ *   c        = x - baseline                       the centred row
+ *   norm     = sqrt(0 + pairwise_sum(c * c))
+ *   constant = norm <= 1e-12,  safe = constant ? 1 : norm
+ *   sums     = 0 + pairwise_sum(c)
+ *   unit     = c / safe
+ *
+ * window is n rows of w adjacent doubles, row i starting at
+ * window + i * row_stride; unit is n x w row-major, so numpy's unit @ unit.T
+ * makes the BLAS call it makes on the numpy chain's unit.  Writes the
+ * constant rows, ascending, to constant (n slots) and returns how many
+ * there are, for repro_refresh_finish.
+ */
+ROW_SCAN
+int64_t repro_refresh_unit(int64_t n, int64_t w, const double *window,
+                           int64_t row_stride, double *baseline, double *sums,
+                           double *safe, int64_t *constant, double *unit)
+{
+    double count = (double)w;
+    int64_t n_constant = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const double *x = window + i * row_stride;
+        double *c = unit + i * w;
+        double mean = (0.0 + pairwise_sum(x, w)) / count;
+        for (int64_t t = 0; t < w; t++) {
+            c[t] = x[t] - mean;
+        }
+        double norm = sqrt(0.0 + pairwise_sum_squares(c, w));
+        double scale = norm;
+        if (norm <= 1e-12) {
+            scale = 1.0;
+            constant[n_constant++] = i;
+        }
+        baseline[i] = mean;
+        sums[i] = 0.0 + pairwise_sum(c, w);
+        safe[i] = scale;
+        for (int64_t t = 0; t < w; t++) {
+            c[t] = c[t] / scale;
+        }
+    }
+    return n_constant;
+}
+
+/*
+ * The exact refresh after its Gram product, in one pass over corr (the
+ * n x n row-major unit @ unit.T, rewritten in place):
+ *
+ *   v = clip corr[i, j] to [-1, 1]     NaN and -0.0 pass through unchanged
+ *   v = 1 on the diagonal,  0 when sensor i or j is constant
+ *   corr[i, j] = v,  cross[i, j] = v * (safe[i] * safe[j])
+ *
+ * with constant[0..n_constant) the ascending constant rows that
+ * repro_refresh_unit returned.
+ */
+ROW_SCAN
+void repro_refresh_finish(int64_t n, double *corr, const double *safe,
+                          const int64_t *constant, int64_t n_constant,
+                          double *cross)
+{
+    int64_t next = 0; /* constant[next] is the next constant row */
+    for (int64_t i = 0; i < n; i++) {
+        double *row = corr + i * n;
+        double *cross_row = cross + i * n;
+        double safe_i = safe[i];
+        if (next < n_constant && constant[next] == i) {
+            next++;
+            for (int64_t j = 0; j < n; j++) {
+                row[j] = 0.0;
+                cross_row[j] = 0.0 * (safe_i * safe[j]);
+            }
+            continue;
+        }
+        for (int64_t j = 0; j < n; j++) {
+            double v = row[j];
+            if (v < -1.0) {
+                v = -1.0;
+            } else if (v > 1.0) {
+                v = 1.0;
+            }
+            row[j] = v;
+            cross_row[j] = v * (safe_i * safe[j]);
+        }
+        row[i] = 1.0;
+        cross_row[i] = 1.0 * (safe_i * safe_i);
+        for (int64_t m = 0; m < n_constant; m++) {
+            int64_t j = constant[m];
+            row[j] = 0.0;
+            cross_row[j] = 0.0 * (safe_i * safe[j]);
+        }
+    }
+}
 
 /*
  * Pearson matrix from a window's running sums: out = normalised
@@ -53,7 +217,8 @@ enum {
  *
  *   v = sums[i] * (sums[j] / -window) + cross[i, j]
  *   v = (v * inv[i]) * inv[j]           inv = 1 / norm, 1 for constants
- *   clip v to [-1, 1], pin the diagonal to 1, zero constant rows/columns,
+ *   clip v to [-1, 1], then v = 1 on the diagonal and v = 0 when sensor
+ *   i or j is constant (per row, as above),
  *
  * where norm[i] = sqrt(max(v_ii, 0)) from the unscaled diagonal and a
  * sensor is constant when its norm is <= 1e-12.  Returns KERNEL_OK or
@@ -66,7 +231,7 @@ int repro_corr_from_sums(int64_t n, double window, const double *sums,
     size_t size = (size_t)(n > 0 ? n : 1);
     double *scaled = malloc(size * sizeof(double));
     double *inv = malloc(size * sizeof(double));
-    unsigned char *constant = malloc(size);
+    int64_t *constant = malloc(size * sizeof(int64_t));
     if (!scaled || !inv || !constant) {
         free(scaled);
         free(inv);
@@ -77,6 +242,7 @@ int repro_corr_from_sums(int64_t n, double window, const double *sums,
     for (int64_t j = 0; j < n; j++) {
         scaled[j] = sums[j] / negw;
     }
+    int64_t n_constant = 0;
     for (int64_t i = 0; i < n; i++) {
         double var = sums[i] * scaled[i] + cross[i * n + i];
         /* np.clip(var, 0, None): NaN stays NaN, -0.0 becomes +0.0. */
@@ -84,12 +250,23 @@ int repro_corr_from_sums(int64_t n, double window, const double *sums,
             var = 0.0;
         }
         double norm = sqrt(var);
-        constant[i] = norm <= 1e-12;
-        inv[i] = 1.0 / (constant[i] ? 1.0 : norm);
+        if (norm <= 1e-12) {
+            norm = 1.0;
+            constant[n_constant++] = i;
+        }
+        inv[i] = 1.0 / norm;
     }
+    int64_t next = 0; /* constant[next] is the next constant row */
     for (int64_t i = 0; i < n; i++) {
-        const double *cross_row = cross + i * n;
         double *row = out + i * n;
+        if (next < n_constant && constant[next] == i) {
+            next++;
+            for (int64_t j = 0; j < n; j++) {
+                row[j] = 0.0;
+            }
+            continue;
+        }
+        const double *cross_row = cross + i * n;
         double sum_i = sums[i];
         double inv_i = inv[i];
         for (int64_t j = 0; j < n; j++) {
@@ -106,13 +283,8 @@ int repro_corr_from_sums(int64_t n, double window, const double *sums,
             row[j] = v;
         }
         row[i] = 1.0;
-    }
-    for (int64_t i = 0; i < n; i++) {
-        if (constant[i]) {
-            for (int64_t j = 0; j < n; j++) {
-                out[i * n + j] = 0.0;
-                out[j * n + i] = 0.0;
-            }
+        for (int64_t m = 0; m < n_constant; m++) {
+            row[constant[m]] = 0.0;
         }
     }
     free(scaled);
@@ -316,38 +488,6 @@ static void level_free(level_t *level)
     free(level->own_self_weight);
     free(level->degree);
     memset(level, 0, sizeof(*level));
-}
-
-/* numpy's pairwise summation for a contiguous float64 reduction. */
-static double pairwise_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = 0.;
-        for (int64_t i = 0; i < n; i++) {
-            res += a[i];
-        }
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int j = 0; j < 8; j++) {
-            r[j] = a[j];
-        }
-        for (i = 8; i < n - (n % 8); i += 8) {
-            for (int j = 0; j < 8; j++) {
-                r[j] += a[i + j];
-            }
-        }
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++) {
-            res += a[i];
-        }
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
 /* Degrees and two_m of a level whose CSR arrays are set. */

@@ -2,12 +2,12 @@
 
 One C source (``_kernels.c``), one cached shared library, one memoised
 loader: :func:`load_kernels` returns a :class:`Kernels` whose methods run
-the per-round O(n^2) passes of the fast engine -- the rolling
-correlation's normalisation (:mod:`repro.timeseries.rolling`), the delta
-TSG builder's separation certificate and CSR assembly over its ``(n, k)``
-pick table (:mod:`repro.graph.delta`) and Louvain
-(:mod:`repro.graph.csr`).  Each one reproduces the numpy or dict code it
-replaces bit for bit.
+the per-round passes of the fast engine -- the rolling correlation's
+normalisation and the passes of its exact refresh around the Gram product
+(:mod:`repro.timeseries.rolling`), the delta TSG builder's separation
+certificate and CSR assembly over its ``(n, k)`` pick table
+(:mod:`repro.graph.delta`) and Louvain (:mod:`repro.graph.csr`).  Each one
+reproduces the numpy or dict code it replaces bit for bit.
 
 The package runs straight from a source tree (``PYTHONPATH=src``) with no
 install step, so no setuptools extension is ever built.  Instead the first
@@ -16,12 +16,14 @@ with (``sysconfig``'s ``CC``) and loads the library with :mod:`ctypes`:
 
 * flags ``-O3 -fPIC -shared -ffp-contract=off`` (and ``-lm``), never
   ``-ffast-math``: a fused multiply-add or a reassociated sum would change
-  the kernels' bits.  ``-O3`` lets the compiler vectorise the O(n^2) row
-  scans, which ``-O2`` leaves scalar; they are element-wise or integer
-  reductions, so the vector code returns the scalar code's bits;
+  the kernels' bits.  ``-O3`` lets the compiler vectorise the row scans,
+  which ``-O2`` leaves scalar; they are element-wise, integer reductions
+  or numpy's eight independent pairwise-sum lanes, so the vector code
+  returns the scalar code's bits;
 * never ``-march=native``, because the cached library may be shared
-  between hosts.  On x86-64 ELF targets the correlation normalisation and
-  the TSG certificate are built as ``target_clones("avx2", "default")``
+  between hosts.  On x86-64 ELF targets the correlation normalisation, the
+  two refresh passes and the TSG certificate are built as
+  ``target_clones("avx2", "default")``
   instead, and the dynamic loader picks the clone the host runs;
 * the library is cached in ``$XDG_CACHE_HOME/repro`` (default
   ``~/.cache/repro``, created with mode 0700) under a name hashed from the
@@ -202,6 +204,24 @@ def _pick_table(corr: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.nda
     return corr, picks
 
 
+def rows_contiguous(window: np.ndarray) -> bool:
+    """Whether the refresh kernel reads ``window`` in place.
+
+    True for an aligned, native float64 2-D array whose rows each hold
+    adjacent elements -- a C-contiguous window or a column slice of one,
+    such as a view of a ring buffer.  numpy reduces such rows in the
+    pairwise order the kernel replicates; any other layout takes the numpy
+    refresh.
+    """
+    return (
+        window.ndim == 2
+        and window.dtype == np.float64
+        and window.flags.aligned
+        and window.strides[1] == window.itemsize
+        and window.strides[0] % window.itemsize == 0
+    )
+
+
 class Kernels:
     """Shape-checked entry points into one loaded kernel library.
 
@@ -227,6 +247,14 @@ class Kernels:
         )
         self._corr = _bind(
             library.repro_corr_from_sums, ctypes.c_int, [_I64, _F64, _PTR, _PTR, _PTR]
+        )
+        self._refresh_unit = _bind(
+            library.repro_refresh_unit,
+            _I64,
+            [_I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
+        )
+        self._refresh_finish = _bind(
+            library.repro_refresh_finish, None, [_I64, _PTR, _PTR, _PTR, _I64, _PTR]
         )
 
     def louvain_labels(
@@ -313,6 +341,49 @@ class Kernels:
         if status:
             raise MemoryError("the correlation kernel could not allocate its scratch")
         return corr
+
+    def refresh(
+        self, window: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(corr, baseline, sums, cross)`` of an exact refresh (see rolling).
+
+        The O(n*w) passes before the Gram product and the O(n^2) pass after
+        it run compiled; the product itself is numpy's ``unit @ unit.T`` on
+        a C-contiguous ``unit``, the BLAS call the numpy refresh makes.
+        """
+        if not rows_contiguous(window) or 0 in window.shape:
+            raise ValueError(
+                "window must be a non-empty aligned float64 (n, w) array with "
+                f"adjacent columns, got shape {window.shape}, strides "
+                f"{window.strides}, dtype {window.dtype}"
+            )
+        n, w = window.shape
+        # baseline, sums and safe norms share one block, and each block's
+        # address is read once: at small n the ctypes address lookups
+        # (~1-2 us each) rival the C passes themselves.
+        vectors = np.empty((3, n), dtype=np.float64)
+        constant = np.empty(n, dtype=np.int64)
+        unit = np.empty((n, w), dtype=np.float64)
+        vectors_at, constant_at = vectors.ctypes.data, constant.ctypes.data
+        safe_at = vectors_at + 2 * vectors.strides[0]
+        n_constant = self._refresh_unit(
+            n,
+            w,
+            window.ctypes.data,
+            window.strides[0] // window.itemsize,
+            vectors_at,
+            vectors_at + vectors.strides[0],
+            safe_at,
+            constant_at,
+            unit.ctypes.data,
+        )
+        corr = unit @ unit.T
+        cross = np.empty((n, n), dtype=np.float64)
+        self._refresh_finish(
+            n, corr.ctypes.data, safe_at, constant_at, n_constant, cross.ctypes.data
+        )
+        baseline, sums, _ = vectors
+        return corr, baseline, sums, cross
 
 
 @functools.lru_cache(maxsize=None)

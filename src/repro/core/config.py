@@ -49,8 +49,8 @@ Collects every knob from the paper in one validated place:
   one name.
 * ``corr_refresh`` — fast engine: recompute the correlation matrix
   exactly every this many rounds to bound floating-point drift of the
-  incremental updates.  Also the anchor cadence for the full TSG
-  re-ranks and the chunk alignment unit for parallel offline detection.
+  incremental updates.  Also the chunk alignment unit for parallel
+  offline detection.
   1 disables the incremental path.
 * ``n_jobs`` — worker processes for *offline* ``warm_up``/``detect`` calls
   (the streaming path is always single-threaded).  1 runs in-process, -1

@@ -9,12 +9,16 @@ is **bit-identical** to a sequential run for any job count:
   is trivially safe.
 * The fast engine's cross-round state (the rolling-correlation kernel and
   the TSG builder's candidate sets) re-anchors itself whenever
-  ``absolute_round % corr_refresh == 0``: the kernel refreshes exactly and
-  the builder re-ranks every row from scratch.  At an anchor the
-  post-round state is a function of the current window and the
-  round counter alone, so a worker that starts a *fresh* pipeline at an
-  anchor round reproduces the sequential pipeline's state exactly.  Chunks
-  are therefore cut only at anchor rounds; the first (possibly unaligned)
+  ``absolute_round % corr_refresh == 0``: the kernel refreshes exactly, so
+  its post-round state is a function of the current window and the round
+  counter alone.  The builder's candidate sets need no anchor of their
+  own: every row's set is the top-k of the round's matrix, kept where the
+  separation certificate proves it unique and re-ranked by the
+  row-independent ``argpartition`` where not, so a fresh builder, which
+  ranks every row, ends the anchor round with the same sets as the
+  sequential one.  A worker that starts a *fresh* pipeline at an anchor
+  round therefore reproduces the sequential pipeline's state exactly.
+  Chunks are cut only at anchor rounds; the first (possibly unaligned)
   chunk ships the live pipeline state instead.
 
 The main pipeline adopts the last chunk's final state afterwards, so a
@@ -174,7 +178,8 @@ def _stage_chunk(
 
     ``pipeline_state`` seeds the first (unaligned) chunk; every other chunk
     starts a fresh pipeline positioned at its anchor ``start_round`` — the
-    anchor's unconditional refresh/re-rank makes the fresh state exact.
+    anchor's exact refresh, and the fresh builder's from-scratch ranking of
+    every row, give the state the sequential run holds there.
     Only the final chunk serialises its state back (``return_state``) —
     that state includes a full window, which is not worth shipping per
     chunk.

@@ -174,13 +174,14 @@ class CommunityPipeline:
         self, window_values: np.ndarray, finite: bool
     ) -> tuple[np.ndarray, int]:
         assert self._kernel is not None and self._builder is not None
-        # Anchor status must be read before update() advances the counter.
-        anchor = self._kernel.next_update_is_anchor
         corr = self._kernel.update(window_values, assume_finite=finite)
-        # Anchors re-rank every row (bounds cache age, keeps chunk starts
-        # state-free); degraded rounds skip the certificate pass outright —
-        # NaN rows would fail it row by row anyway.
-        tsg = self._builder.build(corr, full=anchor or not finite)
+        # Anchors take the separation certificate like any clean round: a
+        # certified cached set is the unique top-k, so it is what a
+        # from-scratch re-rank would pick, and a builder with no picks yet
+        # (a chunk started at an anchor, a restore without delta state)
+        # ranks every row anyway.  Degraded rounds skip the certificate
+        # outright — NaN rows would fail it row by row.
+        tsg = self._builder.build(corr, full=not finite)
         if self.config.community_method == "louvain":
             labels = louvain_labels_csr(tsg)
         else:

@@ -41,12 +41,15 @@ The exactness argument, row by row:
   ascending column order, writing absolute weights —
   :meth:`CSRGraph.from_edges`'s layout — in O(n^2 / 64 + n k).
 
-Periodic anchored full rebuilds (driven by the caller, aligned with the
-correlation kernel's ``corr_refresh`` anchors) re-rank every row from
-scratch.  They are not needed for exactness — the certificate already
-guarantees it — but they bound how long any cached row can go unranked and
-keep parallel chunking exact: a chunk starting at an anchor needs no
-carried TSG state.
+No round re-ranks every row on a schedule, not even the correlation
+kernel's ``corr_refresh`` anchors: the certificate already makes every
+round exact, and a row it cannot certify is re-ranked that round.  Rows are
+re-ranked from scratch only when the builder holds no candidate sets (its
+first round, after :meth:`DeltaTSGBuilder.reset`, or a restore without
+them) or when the caller passes ``full=True`` (the pipeline does on
+degraded rounds).  Parallel chunking stays exact: a chunk starting at an
+anchor ranks every row from scratch, and the sequential run's sets at that
+round are the same top-k sets, row by row.
 
 Without a working C compiler the builder re-ranks every row each round and
 returns ``tsg_csr(corr, k, tau).absolute()`` itself.
@@ -69,9 +72,9 @@ class DeltaTSGBuilder:
 
     One builder instance serves one stream.  Per round, call
     :meth:`build` with the round's correlation matrix; pass ``full=True``
-    on anchor rounds (and after degraded rounds, where the caller already
-    knows the matrix came from the masked estimator) to force a from-scratch
-    re-rank of every row.
+    on degraded rounds, where the caller already knows the matrix came from
+    the masked estimator, to skip the certificate and re-rank every row
+    from scratch.
 
     The returned graph carries **absolute** weights — exactly
     ``tsg_csr(corr, k, tau).absolute()`` — because every consumer in the
@@ -96,7 +99,9 @@ class DeltaTSGBuilder:
         self._picks: np.ndarray | None = None
         #: (n, 1) flat index of each row's first cell in an (n, n) mask.
         self._row_starts = np.arange(0, n_sensors * n_sensors, n_sensors)[:, None]
-        # Diagnostics (not serialised; reset on restore).
+        # Diagnostics (not serialised; reset on restore).  full_rebuilds
+        # counts rounds that ranked every row from scratch: full=True, or
+        # no candidate sets held.
         self.full_rebuilds = 0
         self.rows_recomputed = 0
         self.certified_rounds = 0
@@ -131,9 +136,10 @@ class DeltaTSGBuilder:
     def build(self, corr: np.ndarray, *, full: bool = False) -> CSRGraph:
         """The round's TSG, bitwise ``tsg_csr(corr, k, tau).absolute()``.
 
-        ``full=True`` re-ranks every row from scratch (anchor rounds and
-        rounds after degraded/masked windows); otherwise cached candidate
-        sets are kept wherever the separation certificate holds.
+        ``full=True`` re-ranks every row from scratch (rounds on
+        degraded/masked windows); otherwise cached candidate sets are kept
+        wherever the separation certificate holds, and every row is ranked
+        only when no sets are cached yet.
         """
         corr = np.ascontiguousarray(corr, dtype=np.float64)
         n = self.n_sensors

@@ -98,6 +98,9 @@ class CheckpointRotation:
         self.keep = keep
         self.directory.mkdir(parents=True, exist_ok=True)
         self._reclaim: threading.Thread | None = None
+        #: sidecar -> ((st_mtime_ns, st_size, st_ino), samples_seen or None)
+        #: as last parsed by :meth:`min_covered_samples`.
+        self._covered: dict[Path, tuple[tuple[int, int, int], int | None]] = {}
         self._start_reclaim(
             [
                 entry
@@ -213,12 +216,29 @@ class CheckpointRotation:
         that recovery can fall back to *any* retained generation and still
         replay forward.  0 when no generation is readable (the replay
         buffer must then cover the whole stream or recovery starts fresh).
+
+        It runs after every write, so a sidecar is parsed again only when
+        its ``(st_mtime_ns, st_size, st_ino)`` changed since the last call.
         """
         counts = []
+        covered = {}
         for generation in self.generations():
-            payload = self._read_sidecar(generation.sidecar)
-            if payload is not None:
-                counts.append(payload["samples_seen"])
+            sidecar = generation.sidecar
+            try:
+                info = sidecar.stat()
+            except OSError:
+                continue  # missing: unreadable, like a failed parse
+            key = (info.st_mtime_ns, info.st_size, info.st_ino)
+            cached = self._covered.get(sidecar)
+            if cached is not None and cached[0] == key:
+                samples_seen = cached[1]
+            else:
+                payload = self._read_sidecar(sidecar)
+                samples_seen = None if payload is None else payload["samples_seen"]
+            covered[sidecar] = (key, samples_seen)
+            if samples_seen is not None:
+                counts.append(samples_seen)
+        self._covered = covered
         return min(counts) if counts else 0
 
     def recover(

@@ -12,8 +12,9 @@ Numerical safety:
 * Sums are kept relative to a per-sensor *baseline* (the window means
   captured at the last exact refresh), so the accumulated cross products
   stay well-conditioned even when raw readings sit far from zero.
-* Every ``refresh_every``-th round the matrix is recomputed exactly with
-  :func:`repro.timeseries.pearson_matrix`, bounding floating-point drift.
+* Every ``refresh_every``-th round the matrix is recomputed exactly —
+  bit for bit :func:`repro.timeseries.pearson_matrix` — bounding
+  floating-point drift.
   The refresh is anchored to the *absolute* round counter
   (``round % refresh_every == 0``), never to "rounds since last refresh" —
   this is what lets the parallel offline pipeline chop a detection run
@@ -37,7 +38,16 @@ outer product, scaling, clip and pinning passes.  :func:`corr_from_sums`
 is that chain in numpy; the fast path runs it as one fused loop in the
 compiled kernels (``repro/_kernels.c``, loaded by :mod:`repro._native`)
 with the same operations in the same order, so both return the same bits.
-Without a working C compiler the numpy chain runs instead.
+
+An exact refresh is numpy's ``unit @ unit.T`` Gram product between an
+O(n*w) chain (mean, centring, sums of squares, normalisation) and an O(n^2)
+one (clip, pinning, cross-product rebuild).  :func:`refresh_from_window`
+is the whole refresh in numpy; the fast path runs the two chains as two
+compiled passes around the same product (numpy's pairwise summation order
+included), so it returns the same bits too.
+
+Without a working C compiler the numpy chains run instead; so does the
+refresh of a window whose columns are not adjacent in memory.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from typing import Any
 
 import numpy as np
 
-from .._native import load_kernels
+from .._native import load_kernels, rows_contiguous
 from .correlation import pearson_matrix_masked
 
 
@@ -122,16 +132,11 @@ class RollingCorrelation:
     def next_update_is_anchor(self) -> bool:
         """True when the *next* :meth:`update` falls on an exact-refresh round.
 
-        The delta TSG builder aligns its full re-ranks to this schedule.
-        Note it is a statement about the refresh *cadence* only — a dirty
-        or non-overlapping window can force an exact refresh on any round —
-        but cadence is all the TSG builder needs: anchors guarantee a
-        from-scratch re-rank at least every ``refresh_every`` rounds, and
-        the separation certificate keeps off-anchor rounds exact on its
-        own.  (No per-row "changed correlation" bound is exported from the
-        rank-2 update: the normalisation couples every entry of the matrix
-        to the evicted/added columns, so any such bound would be all-rows
-        almost every round.)
+        Parallel offline detection cuts its chunks at these rounds.  It is
+        a statement about the refresh *cadence* only — a dirty or
+        non-overlapping window can force an exact refresh on any round —
+        but cadence is what chunking needs: after an anchor the kernel's
+        state depends on that round's window and counter alone.
         """
         return self._round % self.refresh_every == 0
 
@@ -250,32 +255,14 @@ class RollingCorrelation:
         )
 
     def _refresh(self, window: np.ndarray) -> np.ndarray:
-        # Inlined replica of pearson_matrix (bit-identical arithmetic, so
-        # refresh rounds stay *exactly* equal to the from-scratch path) —
-        # inlined because the O(n^2 * w) unit @ unit.T product then doubles
-        # as the source of the cross-product accumulator: cross is rebuilt
-        # as corr * outer(norms, norms) in O(n^2) instead of paying a
-        # second shifted @ shifted.T GEMM.
-        baseline = window.mean(axis=1)
-        centered = window - baseline[:, None]
-        norms = np.sqrt((centered * centered).sum(axis=1))
-        constant = norms <= 1e-12
-        safe_norms = np.where(constant, 1.0, norms)
-        unit = centered / safe_norms[:, None]
-        corr = unit @ unit.T
-        np.clip(corr, -1.0, 1.0, out=corr)
-        np.fill_diagonal(corr, 1.0)
-        if constant.any():
-            corr[constant, :] = 0.0
-            corr[:, constant] = 0.0
-
-        # The rebuilt cross differs from an exact shifted @ shifted.T by
-        # ~1 ulp (normalise-then-multiply vs multiply-then-normalise, plus
-        # the clip/diagonal pinning) — far inside the kernel's 1e-9
-        # equivalence budget, and the next anchor wipes it anyway.
+        kernels = load_kernels()
+        if kernels is None or not rows_contiguous(window):
+            corr, baseline, sums, cross = refresh_from_window(window)
+        else:
+            corr, baseline, sums, cross = kernels.refresh(window)
         self._baseline = baseline
-        self._sums = centered.sum(axis=1)
-        self._cross = corr * np.outer(safe_norms, safe_norms)
+        self._sums = sums
+        self._cross = cross
         self._dirty = False
         return corr
 
@@ -306,7 +293,16 @@ class RollingCorrelation:
     # checkpoint support
 
     def to_state(self) -> dict[str, Any]:
-        """Serializable snapshot (plain floats / lists, no pickle needed)."""
+        """Snapshot of the kernel: scalars plus float64 array copies.
+
+        Arrays are copied, not shared: ``prev`` is the caller's window
+        (often a view of a ring buffer that moves on) and the running sums
+        change in place on the next round.
+        """
+
+        def copy(array: np.ndarray | None) -> np.ndarray | None:
+            return None if array is None else array.copy()
+
         return {
             "n_sensors": self.n_sensors,
             "window": self.window,
@@ -315,10 +311,10 @@ class RollingCorrelation:
             "min_overlap": self.min_overlap,
             "round": self._round,
             "dirty": self._dirty,
-            "baseline": None if self._baseline is None else self._baseline.tolist(),
-            "sums": None if self._sums is None else self._sums.tolist(),
-            "cross": None if self._cross is None else self._cross.tolist(),
-            "prev": None if self._prev is None else self._prev.tolist(),
+            "baseline": copy(self._baseline),
+            "sums": copy(self._sums),
+            "cross": copy(self._cross),
+            "prev": copy(self._prev),
         }
 
     @classmethod
@@ -334,12 +330,52 @@ class RollingCorrelation:
         kernel._dirty = bool(state["dirty"])
         for name in ("baseline", "sums", "cross", "prev"):
             value = state.get(name)
+            # A private copy: the running sums are updated in place, and a
+            # state adopted twice must not tie two kernels together.
             setattr(
                 kernel,
                 f"_{name}",
-                None if value is None else np.asarray(value, dtype=np.float64),
+                None if value is None else np.array(value, dtype=np.float64),
             )
         return kernel
+
+
+def refresh_from_window(
+    window: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(corr, baseline, sums, cross)`` of an exact refresh over ``window``.
+
+    ``corr`` is :func:`repro.timeseries.pearson_matrix` of the window, bit
+    for bit: the same arithmetic, inlined because its O(n^2 * w)
+    ``unit @ unit.T`` product doubles as the source of the cross-product
+    accumulator.  ``cross`` is rebuilt as ``corr * outer(norms, norms)`` in
+    O(n^2) instead of paying a second ``shifted @ shifted.T`` GEMM; it
+    differs from that exact product by ~1 ulp (normalise-then-multiply vs
+    multiply-then-normalise, plus the clip/diagonal pinning), far inside
+    the kernel's 1e-9 equivalence budget, and the next anchor wipes it
+    anyway.  ``baseline`` is the window means and ``sums`` the row sums of
+    the centred window.
+
+    This numpy chain is the specification the compiled
+    ``repro_refresh_unit`` / ``repro_refresh_finish`` pair reproduces bit
+    for bit around the same Gram product, and the fallback when no
+    compiler is available or the window's columns are not adjacent in
+    memory.
+    """
+    baseline = window.mean(axis=1)
+    centered = window - baseline[:, None]
+    norms = np.sqrt((centered * centered).sum(axis=1))
+    constant = norms <= 1e-12
+    safe_norms = np.where(constant, 1.0, norms)
+    unit = centered / safe_norms[:, None]
+    corr = unit @ unit.T
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, 1.0)
+    if constant.any():
+        corr[constant, :] = 0.0
+        corr[:, constant] = 0.0
+    cross = corr * np.outer(safe_norms, safe_norms)
+    return corr, baseline, centered.sum(axis=1), cross
 
 
 def corr_from_sums(sums: np.ndarray, cross: np.ndarray, window: int) -> np.ndarray:

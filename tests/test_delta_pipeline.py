@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 
 from tests.conftest import correlated_values
 from repro import _native
-from repro.core import CADConfig, StreamingCAD, load_checkpoint, save_checkpoint
+from repro.core import (
+    CADConfig,
+    CommunityPipeline,
+    StreamingCAD,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.datasets import FaultModel
 from repro.graph import DeltaTSGBuilder
 from repro.graph import knn_graph, prune_weak_edges
@@ -258,6 +264,47 @@ class TestDeltaBuilder:
                 builder.build(corr, full=anchor), tsg_csr(corr, 3, 0.3).absolute()
             )
         assert anchors >= 4, "stream must exercise anchored full rebuilds"
+
+    def test_anchor_rounds_certify_and_match_a_builder_started_there(self):
+        # Anchors take the certificate: a stream crossing one and a fresh
+        # builder started at it (a parallel chunk's worker) hold the same
+        # candidate sets and build the same CSR from that round on.
+        if _native.load_kernels() is None:
+            pytest.skip("the kernels could not be compiled here")
+        corrs = list(self.stream_corrs(1, n=12, rounds=40))
+        streamed = DeltaTSGBuilder(12, 3, 0.3)
+        for start in (8, 16, 24):
+            assert corrs[start][0], "the chunk must start at an anchor"
+            streamed.reset()
+            fresh = DeltaTSGBuilder(12, 3, 0.3)
+            certified_anchors = 0
+            for r, (anchor, corr) in enumerate(corrs):
+                before = streamed.certified_rounds
+                got = streamed.build(corr)
+                certified_anchors += anchor and streamed.certified_rounds > before
+                if r >= start:
+                    assert_csr_equal(got, fresh.build(corr))
+                    assert np.array_equal(
+                        streamed.to_state()["members"], fresh.to_state()["members"]
+                    )
+            assert certified_anchors >= 3
+        assert streamed.full_rebuilds == 3  # one per reset, none per anchor
+
+    def test_pipeline_anchors_take_the_certificate(self):
+        if _native.load_kernels() is None:
+            pytest.skip("the kernels could not be compiled here")
+        config = delta_config(k=3, allow_missing=False, corr_refresh=4)
+        values = correlated_values(n_sensors=12, length=400, seed=1)
+        pipeline = CommunityPipeline(config, 12)
+        certified_anchors = 0
+        step, window = config.step, config.window
+        for start in range(0, 400 - window + 1, step):
+            anchor = pipeline.kernel.next_update_is_anchor
+            before = pipeline._builder.certified_rounds
+            pipeline.process(values[:, start : start + window])
+            certified_anchors += anchor and pipeline._builder.certified_rounds > before
+        assert certified_anchors > 0
+        assert pipeline._builder.full_rebuilds == 1
 
     def test_nan_masked_round_then_patched(self):
         # The pipeline forces full=True on non-finite windows; the rounds

@@ -38,7 +38,7 @@ from repro.timeseries import (
     pearson_matrix,
     pearson_matrix_masked,
 )
-from repro.timeseries.rolling import corr_from_sums
+from repro.timeseries.rolling import corr_from_sums, refresh_from_window
 
 #: Skip mark for tests that need the kernels actually compiled.
 needs_compiler = pytest.mark.skipif(
@@ -146,6 +146,30 @@ class TestRollingCorrelation:
         resumed = RollingCorrelation.from_state(kernel.to_state())
         for win in windows[40:]:
             assert np.array_equal(kernel.update(win), resumed.update(win))
+
+    def test_state_holds_private_array_copies(self):
+        rng = np.random.default_rng(9)
+        values = np.cumsum(rng.normal(size=(6, 400)), axis=1)
+        windows = list(stream_windows(values, 50, 5))
+        kernel = RollingCorrelation(6, 50, 5, refresh_every=32)
+        for win in windows[:20]:
+            kernel.update(win)
+        state = kernel.to_state()
+        for name in ("baseline", "sums", "cross", "prev"):
+            assert isinstance(state[name], np.ndarray), name
+            assert state[name].dtype == np.float64, name
+            assert not np.shares_memory(state[name], getattr(kernel, f"_{name}"))
+        assert not np.shares_memory(state["prev"], values)
+        # One state adopted twice: the running sums one kernel updates in
+        # place must not leak into the other.
+        first = RollingCorrelation.from_state(state)
+        second = RollingCorrelation.from_state(state)
+        expected = [kernel.update(win) for win in windows[20:30]]
+        for corrs in (
+            [first.update(win) for win in windows[20:30]],
+            [second.update(win) for win in windows[20:30]],
+        ):
+            assert all(map(bitwise_equal, corrs, expected))
 
     def test_seek_only_on_fresh_kernel(self):
         kernel = RollingCorrelation(3, 10, 2)
@@ -684,6 +708,60 @@ class TestNativeKernels:
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
+    @settings(max_examples=60, deadline=None)
+    @example(seed=0, n=1, window=2, offset=0.0, n_constant=0, ring=False)
+    @example(seed=1, n=6, window=7, offset=1e9, n_constant=1, ring=True)
+    @example(seed=2, n=9, window=8, offset=1.0, n_constant=2, ring=False)
+    @example(seed=3, n=12, window=9, offset=0.0, n_constant=0, ring=True)
+    @example(seed=4, n=17, window=128, offset=1e3, n_constant=1, ring=False)
+    @example(seed=5, n=23, window=129, offset=1e9, n_constant=3, ring=True)
+    @example(seed=6, n=40, window=8193, offset=1e6, n_constant=2, ring=True)
+    @example(seed=7, n=3, window=10_000, offset=0.0, n_constant=0, ring=False)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        window=st.one_of(st.integers(2, 300), st.integers(2, 10_000)),
+        offset=st.sampled_from([0.0, 1.0, 1e3, 1e6, 1e9]),
+        n_constant=st.integers(0, 3),
+        ring=st.booleans(),
+    )
+    def test_compiled_refresh_is_bitwise_numpy(
+        self, seed, n, window, offset, n_constant, ring
+    ):
+        rng = np.random.default_rng(seed)
+        n_constant = min(n_constant, n)
+        # A ring view: rows of adjacent columns, rows farther apart than w.
+        width = 2 * window + 5 if ring else window
+        values = offset + np.cumsum(rng.standard_normal((n, width)), axis=1)
+        # Copies and negated copies of one sensor push |corr| a rounding
+        # error past 1 before the clip.
+        for i in range(n_constant + 1, n, 3):
+            values[i] = rng.choice([-1.0, 1.0, 2.5]) * values[n_constant]
+        values[:n_constant] = rng.choice([0.0, -3.5, 0.3, offset], size=(n_constant, 1))
+        # Near-constant sensors: noise far under the 1e-12 norm threshold
+        # leaves their centred rows, and so their Gram entries, non-zero.
+        near = values[:n_constant:2]
+        near += 1e-15 * rng.standard_normal(near.shape)
+        win = values[:, 3 : 3 + window] if ring else values
+        assert win.shape == (n, window) and win.strides == (8 * width, 8)
+        got = self.kernels().refresh(win)
+        expected = refresh_from_window(win)
+        for name, a, b in zip(("corr", "baseline", "sums", "cross"), got, expected):
+            assert bitwise_equal(a, b), name
+        assert bitwise_equal(got[0], pearson_matrix(win))
+
+    def test_refresh_routes_strided_windows_to_numpy(self, monkeypatch):
+        def trap(self, window):
+            raise AssertionError("the compiled refresh got a strided window")
+
+        self.kernels()
+        monkeypatch.setattr(_native.Kernels, "refresh", trap)
+        values = np.cumsum(np.random.default_rng(3).normal(size=(5, 200)), axis=1)
+        kernel = RollingCorrelation(5, 40, 4)
+        for window in (values[:, :80:2], np.asfortranarray(values[:, :40])):
+            assert bitwise_equal(kernel.update(window), pearson_matrix(window))
+            kernel.reset()
+
     def test_rolling_stream_is_bitwise_the_numpy_fallback(self, monkeypatch):
         rng = np.random.default_rng(12)
         values = np.cumsum(rng.normal(size=(7, 900)), axis=1)
@@ -734,6 +812,12 @@ class TestNativeKernels:
             "assemble-negative-pick",
             "corr-cross-shape",
             "corr-sums-2d",
+            "refresh-1d",
+            "refresh-3d",
+            "refresh-empty",
+            "refresh-column-stride",
+            "refresh-fortran-order",
+            "refresh-float32",
         ],
     )
     def test_shape_mismatch_raises_before_the_c_call(self, call):
@@ -746,6 +830,8 @@ class TestNativeKernels:
                 repro_tsg_certify=trap,
                 repro_tsg_csr=trap,
                 repro_corr_from_sums=trap,
+                repro_refresh_unit=trap,
+                repro_refresh_finish=trap,
             )
         )
         corr = np.zeros((4, 4))
@@ -776,6 +862,14 @@ class TestNativeKernels:
             "corr-sums-2d": lambda: kernels.corr_from_sums(
                 np.zeros((2, 2)), np.zeros((4, 4)), 10
             ),
+            "refresh-1d": lambda: kernels.refresh(np.zeros(8)),
+            "refresh-3d": lambda: kernels.refresh(np.zeros((2, 3, 4))),
+            "refresh-empty": lambda: kernels.refresh(np.zeros((4, 0))),
+            "refresh-column-stride": lambda: kernels.refresh(np.zeros((4, 20))[:, ::2]),
+            "refresh-fortran-order": lambda: kernels.refresh(
+                np.asfortranarray(np.zeros((4, 10)))
+            ),
+            "refresh-float32": lambda: kernels.refresh(np.zeros((4, 10), np.float32)),
         }
         with pytest.raises(ValueError, match="shape|square|lie in"):
             calls[call]()
@@ -840,6 +934,9 @@ class TestNativeKernels:
                 baseline.corr_from_sums(sums, cross, window),
             ]
             assert np.array_equal(corrs[0].view(np.uint64), corrs[1].view(np.uint64))
+            values[-1] = -values[-2]  # |corr| a rounding error past 1
+            for got, expected in zip(loaded.refresh(values), baseline.refresh(values)):
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
             corr = np.round(corrs[0], int(rng.integers(1, 4)))  # boundary ties
             if case % 4 == 0:
                 corr[rng.integers(0, n), :] = np.nan

@@ -367,6 +367,44 @@ class TestMinCoveredSamples:
     def test_empty_is_zero(self, tmp_path):
         assert CheckpointRotation(tmp_path).min_covered_samples() == 0
 
+    def test_parses_a_sidecar_again_only_when_it_changed(
+        self, stream, tmp_path, monkeypatch
+    ):
+        parsed = []
+        read = CheckpointRotation._read_sidecar
+
+        def counting(sidecar):
+            parsed.append(sidecar.name)
+            return read(sidecar)
+
+        monkeypatch.setattr(CheckpointRotation, "_read_sidecar", staticmethod(counting))
+        rotation = CheckpointRotation(tmp_path, keep=3)
+        first = stream.samples_seen
+        oldest = rotation.write(stream, 12, {})
+        advance(stream, 50, seed=4)
+        middle = rotation.write(stream, 17, {})
+        assert rotation.min_covered_samples() == first
+        assert sorted(parsed) == [oldest.sidecar.name, middle.sidecar.name]
+        parsed.clear()
+        assert rotation.min_covered_samples() == first
+        advance(stream, 50, seed=5)
+        newest = rotation.write(stream, 22, {})
+        assert rotation.min_covered_samples() == first
+        assert parsed == [newest.sidecar.name]
+        parsed.clear()
+        # A rewritten sidecar (new inode, size and mtime) is parsed again.
+        payload = json.loads(oldest.sidecar.read_text())
+        payload["samples_seen"] = first - 1
+        staged = tmp_path / "staged"
+        staged.write_text(json.dumps(payload, indent=2))
+        os.replace(staged, oldest.sidecar)
+        assert rotation.min_covered_samples() == first - 1
+        oldest.sidecar.write_text("{ not json")
+        assert rotation.min_covered_samples() == first + 50
+        oldest.sidecar.unlink()
+        assert rotation.min_covered_samples() == first + 50
+        assert parsed == [oldest.sidecar.name] * 2
+
 
 class TestChaosCorruption:
     def test_corrupt_file_defeats_load(self, stream, tmp_path):
